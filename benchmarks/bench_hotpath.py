@@ -18,8 +18,8 @@ Three measurements, each taken under both interpreter backends
   full pipeline (now dominated by checking, not interpretation) sees.
 
 Verdict parity gates unconditionally: the serial cold-check reports and
-the ``workers=4`` fleet reports must be verdict-for-verdict identical
-across backends — a faster interpreter that changes one verdict is a bug,
+the ``check_all(workers=4)`` reports (one session fleet per interpreter
+mode) must be verdict-for-verdict identical across backends — a faster interpreter that changes one verdict is a bug,
 not a result.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_hotpath.py [--quick]``
@@ -149,14 +149,15 @@ def bench_cold_check(mode: str, rounds: int) -> tuple[float, tuple]:
 
 
 def bench_fleet(mode: str, workers: int = 4) -> tuple:
-    """Parity key for a ``workers=N`` parallel cold check of every app."""
+    """Parity key for a ``check_all(workers=N)`` cold check of every app,
+    on one session fleet spawned under ``mode`` (workers inherit it)."""
     from repro.apps import all_apps
-    from repro.parallel import check_fleet
+    from repro.parallel import ParallelCheckEngine
 
     os.environ["REPRO_INTERP"] = mode
-    labels = [app.label for app in all_apps()]
-    run = check_fleet(labels, workers=workers)
-    return _report_key(run.report)
+    with ParallelCheckEngine(workers=workers) as engine:
+        return tuple(_report_key(engine.check_all(app.build(), app.label))
+                     for app in all_apps())
 
 
 def run_benchmark(quick: bool) -> dict:

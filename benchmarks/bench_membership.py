@@ -17,13 +17,11 @@ Measurements:
 * **microloop** — per-eval cost of each backend over a corpus that
   covers every membership constructor; the gated metric: the compiled
   predicates must be >= 2x faster per eval.
-* **verdict parity** — every subject app checked serially *and* on a
-  4-worker fleet under both backends; all four report keys must agree.
+* **verdict parity** — every subject app checked serially *and* with
+  ``check_all(workers=4)`` (one session fleet per membership backend)
+  under both backends; all four report keys must agree.
 * **Blame parity** — the §4 staged-column Blame scenario must render a
   byte-identical message under both backends.
-* **warm attach** — first warm round after a migration, before/after the
-  shared replica catalogs (recorded alongside ``bench_warm``'s gate so
-  the membership artifact carries the full per-verdict-floor story).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_membership.py
 [--iters N] [--workers N] [--json PATH] [--quick]``
@@ -166,10 +164,11 @@ def _mode_reports(mode: str, apps, workers: int) -> dict:
         rdl = app.build()
         serial[app.label] = _parity_key(rdl.check_all([app.label]))
     fleet = {}
+    # spawned after the env flip, so the workers check under ``mode`` too
     with ParallelCheckEngine(workers=workers) as engine:
         for app in apps:
-            run = engine.check_labels([app.label])
-            fleet[app.label] = _parity_key(run.report)
+            fleet[app.label] = _parity_key(
+                engine.check_all(app.build(), app.label))
     return {"serial": serial, "fleet": fleet}
 
 
@@ -234,72 +233,22 @@ def bench_blame_parity() -> dict:
     return {"parity": True, "message": structural}
 
 
-def bench_warm_attach(workers: int) -> dict | None:
-    """First warm round after a migration, unseeded vs seeded by the cold
-    fleet's shared replica catalogs (same measurement bench_warm gates;
-    recorded here so this artifact tells the whole floor-lowering story)."""
-    from bench_warm import _measure_setup, _migration_table
-
-    # smallest subject app that actually has a table to migrate (the
-    # smallest overall is a table-less API client — nothing to attach)
-    for app in sorted(all_apps(), key=lambda a: a.source_loc()):
-        table = _migration_table(app.build())
-        if table is not None:
-            break
-    else:
-        return None
-
-    with ParallelCheckEngine(workers=workers) as engine:
-        engine.prime([app.label])
-        engine.check_labels([app.label])  # cold round seeds the catalogs
-
-        unseeded = app.build()
-        unseeded.check_all(app.label)
-        unseeded_twin = app.build()
-        unseeded_twin.check_all(app.label)
-        unseeded_s = _measure_setup(
-            unseeded, unseeded_twin, table, "bench_membership_unseeded",
-            workers, app.label)
-        unseeded.shutdown_warm()
-
-        seeded = app.build()
-        seeded.check_all(app.label)
-        seeded_twin = app.build()
-        seeded_twin.check_all(app.label)
-        seeded.adopt_warm_engine(engine)
-        seeded_s = _measure_setup(
-            seeded, seeded_twin, table, "bench_membership_seeded",
-            workers, app.label)
-        seeded.shutdown_warm()  # detaches; the `with` closes the fleet
-
-    return {
-        "app": app.label,
-        "warm_setup_unseeded_s": round(unseeded_s, 4),
-        "warm_setup_seeded_s": round(seeded_s, 4),
-        "warm_setup_drop": round(1.0 - seeded_s / unseeded_s, 4)
-        if unseeded_s else 0.0,
-    }
-
-
 def run_benchmark(iters: int, workers: int, quick: bool) -> dict:
     micro = bench_microloop(iters)
     modes = bench_mode_parity(quick, workers)
     blame = bench_blame_parity()
-    warm = bench_warm_attach(workers)
     parity = modes["parity"] and blame["parity"]
     return {
         "benchmark": "membership_predicates",
         "workload": (
             "per-eval membership cost over a full constructor corpus, "
             "verdict + Blame parity across REPRO_MEMBERSHIP backends "
-            "(serial and 4-worker fleet), warm attach before/after "
-            "shared catalogs"
+            "(serial and check_all(workers=N))"
         ),
         "iters": iters,
         "microloop": micro,
         "mode_parity": modes,
         "blame_parity": {"parity": blame["parity"]},
-        "warm_attach": warm,
         "speedup": micro["speedup"],
         "parity": parity,
         "pass": micro["speedup"] >= 2.0 and parity,
@@ -341,13 +290,6 @@ def main() -> int:
           f"{results['mode_parity']['workers']}}} — all identical")
     print("Blame parity: staged-column message byte-identical across "
           "backends")
-    if results["warm_attach"]:
-        warm = results["warm_attach"]
-        print(f"warm attach ({warm['app']}): unseeded "
-              f"{warm['warm_setup_unseeded_s'] * 1e3:.1f}ms vs seeded "
-              f"{warm['warm_setup_seeded_s'] * 1e3:.1f}ms "
-              f"({warm['warm_setup_drop'] * 100:.1f}% drop via shared "
-              f"catalogs)")
 
     os.makedirs(os.path.dirname(os.path.abspath(options.json)), exist_ok=True)
     with open(options.json, "w") as handle:

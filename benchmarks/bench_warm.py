@@ -1,27 +1,28 @@
-"""Benchmark: warm session recheck vs cold-fleet rounds after migrations.
+"""Benchmark: warm session rechecks vs the serial twin after migrations.
 
 The workload is the long-running-service loop the warm sessions exist for:
-a subject app is checked once, then a schema migration lands and the
-service re-verifies.  Two ways to run that round:
+a subject app is checked once, then schema migrations land and the service
+re-verifies after each.  Two ways to run that round:
 
-* **cold fleet** — what the fleet did before sessions: every round, worker
-  processes rebuild the app from scratch and re-check *every* method
-  (``ParallelCheckEngine.check_labels``).
+* **serial** — the in-process incremental path on a twin universe that
+  receives the same migrations (``recheck_dirty()``): the reference every
+  parallel number is compared against;
 * **warm recheck** — session workers keep live replicas; each round ships
   only the journal delta and re-checks only the dirty methods
   (``CompRDL.recheck_dirty(workers=N)``).
 
-Measurements per round, aggregated over the table-backed subject apps:
+Measurements, aggregated over the table-backed subject apps:
 
-* **wall** — what this 1-CPU container observes (recorded honestly; with
-  fewer cores than workers the OS serializes the fleet either way);
-* **per-shard CPU critical path** — the slowest shard's process CPU time,
-  i.e. the projected wall on a machine with >= N free cores (same
-  projection as ``bench_parallel.py``).  This is the gated metric: a warm
-  round re-checks a dirty subset with zero rebuilds, so its critical path
-  must beat the cold fleet's.
+* **wall per round** — warm and serial, on this machine; plus the warm
+  round's per-shard CPU critical path (slowest shard's process CPU time +
+  plan + sync), the projected wall on a machine with >= N free cores;
+* **first-warm-round setup** — the gated metric: the first warm round
+  after a migration, when the universe was cold-checked by
+  ``check_all(workers=N)`` (the session is already attached) versus by a
+  serial ``check_all`` (the round must spawn the workers and attach
+  first).  Cold-checking on the fleet must cut that round by >= 30%;
 * **parity** — every warm report is asserted verdict-for-verdict identical
-  to a serial-incremental twin that received the same migrations.
+  to its serial twin.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_warm.py
 [--rounds N] [--workers N] [--json PATH] [--quick]``
@@ -36,7 +37,6 @@ import os
 import time
 
 from repro.apps import all_apps
-from repro.parallel import ParallelCheckEngine
 
 DEFAULT_ROUNDS = 6
 QUICK_ROUNDS = 2
@@ -75,9 +75,10 @@ def _toggle_probe(db, table: str, round_no: int) -> None:
 
 def _measure_setup(rdl, twin, table: str, column: str, workers: int,
                    label: str) -> float:
-    """Wall time of the first warm round after a migration — the attach +
-    delta + dirty re-check that is the session setup cost.  Parity against
-    the serial twin is asserted outside the measured window."""
+    """Wall time of the first warm round after a migration — whatever
+    session set-up it still has to do, plus the delta and the dirty
+    re-check.  Parity against the serial twin is asserted outside the
+    measured window."""
     rdl.db.add_column(table, column, "string")
     twin.db.add_column(table, column, "string")
     setup_start = time.perf_counter()
@@ -89,51 +90,39 @@ def _measure_setup(rdl, twin, table: str, column: str, workers: int,
 
 
 def bench_app(app, rounds: int, workers: int) -> dict | None:
-    """Cold-fleet vs warm-session rounds for one subject app."""
-    with ParallelCheckEngine(workers=workers) as engine:
-        # -- cold fleet baseline: rebuild + full re-check every round
-        engine.prime([app.label])
-        cold_wall = 0.0
-        cold_cpu_path = 0.0
-        cold_cpu_total = 0.0
-        for _ in range(rounds):
-            run = engine.check_labels([app.label])
-            cold_wall += run.wall_s
-            cold_cpu_path += run.critical_path_s + run.plan_s
-            cold_cpu_total += run.worker_cpu_s
+    """Serial-twin vs warm-session rounds for one subject app."""
+    twin = app.build()
+    twin_report = twin.check_all(app.label)
+    table = _migration_table(twin)
+    if table is None:
+        return None  # nothing to migrate (table-less API-client app)
 
-        # -- warm sessions: one build, then delta + dirty-subset rounds
-        warm = app.build()
-        warm.check_all(app.label)
-        twin = app.build()
-        twin.check_all(app.label)
-        table = _migration_table(warm)
-        if table is None:
-            return None  # nothing to migrate (table-less API-client app)
-
-        # unseeded setup: a fresh fleet whose session workers hold no
-        # replicas — every attach is a full per-worker rebuild (what warm
-        # setup always cost before shared catalogs)
-        unseeded = app.build()
-        unseeded.check_all(app.label)
-        unseeded_twin = app.build()
-        unseeded_twin.check_all(app.label)
-        warm_setup_unseeded_s = _measure_setup(
+    # unseeded: a serial cold check, so the first warm round spawns the
+    # workers and attaches before it can check anything
+    unseeded = app.build()
+    unseeded.check_all(app.label)
+    unseeded_twin = app.build()
+    unseeded_twin.check_all(app.label)
+    try:
+        setup_unseeded_s = _measure_setup(
             unseeded, unseeded_twin, table, "bench_warm_setup", workers,
             app.label)
+    finally:
         unseeded.shutdown_warm()
 
-        # seeded setup: adopt the cold fleet above — its session workers
-        # already hold pristine replicas in their warm catalogs (prime
-        # prebuilt them, the cold rounds reused them), so the attach adopts
-        # instead of rebuilding
-        warm.adopt_warm_engine(engine)
-        warm_setup_s = _measure_setup(
+    # seeded: the cold check itself ran on the fleet, which leaves the
+    # session attached for the first warm round
+    warm = app.build()
+    try:
+        assert _parity_key(warm.check_all(app.label, workers=workers)) == \
+            _parity_key(twin_report), f"fleet cold check parity ({app.label})"
+        setup_s = _measure_setup(
             warm, twin, table, "bench_warm_seeded", workers, app.label)
 
         warm_wall = 0.0
         warm_cpu_path = 0.0
         warm_cpu_total = 0.0
+        serial_wall = 0.0
         methods_rechecked = 0
         remote_rounds = 0
         for round_no in range(rounds):
@@ -142,7 +131,10 @@ def bench_app(app, rounds: int, workers: int) -> dict | None:
             wall_start = time.perf_counter()
             report = warm.recheck_dirty(workers=workers)
             warm_wall += time.perf_counter() - wall_start
-            assert _parity_key(report) == _parity_key(twin.recheck_dirty()), (
+            wall_start = time.perf_counter()
+            serial_report = twin.recheck_dirty()
+            serial_wall += time.perf_counter() - wall_start
+            assert _parity_key(report) == _parity_key(serial_report), (
                 f"warm verdicts diverged from serial incremental for "
                 f"{app.label} at round {round_no}")
             run = warm.warm_engine.last_warm_run
@@ -154,10 +146,10 @@ def bench_app(app, rounds: int, workers: int) -> dict | None:
         # stable-key counters for the artifact (same keys as
         # metrics_snapshot)
         stats = warm.incremental_stats.snapshot()
-        warm.shutdown_warm()  # detaches; the `with` closes the fleet
+    finally:
+        warm.shutdown_warm()
 
-    setup_drop = (1.0 - warm_setup_s / warm_setup_unseeded_s
-                  if warm_setup_unseeded_s else 0.0)
+    setup_drop = 1.0 - setup_s / setup_unseeded_s if setup_unseeded_s else 0.0
     return {
         "label": app.label,
         "stats": stats,
@@ -165,13 +157,11 @@ def bench_app(app, rounds: int, workers: int) -> dict | None:
         "methods_total": total_methods,
         "methods_rechecked_per_round": methods_rechecked / rounds,
         "remote_rounds": remote_rounds,
-        "warm_setup_s": round(warm_setup_s, 4),
-        "warm_setup_unseeded_s": round(warm_setup_unseeded_s, 4),
+        "warm_setup_s": round(setup_s, 4),
+        "warm_setup_unseeded_s": round(setup_unseeded_s, 4),
         "warm_setup_drop": round(setup_drop, 4),
-        "cold": {
-            "wall_per_round_s": round(cold_wall / rounds, 4),
-            "cpu_critical_path_per_round_s": round(cold_cpu_path / rounds, 4),
-            "worker_cpu_per_round_s": round(cold_cpu_total / rounds, 4),
+        "serial": {
+            "wall_per_round_s": round(serial_wall / rounds, 4),
         },
         "warm": {
             "wall_per_round_s": round(warm_wall / rounds, 4),
@@ -185,10 +175,9 @@ def bench_app(app, rounds: int, workers: int) -> dict | None:
 def run_benchmark(rounds: int, workers: int) -> dict:
     apps = [bench_app(app, rounds, workers) for app in all_apps()]
     apps = [entry for entry in apps if entry is not None]
-    cold_path = sum(a["cold"]["cpu_critical_path_per_round_s"] for a in apps)
-    warm_path = sum(a["warm"]["cpu_critical_path_per_round_s"] for a in apps)
-    cold_wall = sum(a["cold"]["wall_per_round_s"] for a in apps)
+    serial_wall = sum(a["serial"]["wall_per_round_s"] for a in apps)
     warm_wall = sum(a["warm"]["wall_per_round_s"] for a in apps)
+    warm_path = sum(a["warm"]["cpu_critical_path_per_round_s"] for a in apps)
     setup_seeded = sum(a["warm_setup_s"] for a in apps)
     setup_unseeded = sum(a["warm_setup_unseeded_s"] for a in apps)
     setup_drop = (1.0 - setup_seeded / setup_unseeded
@@ -197,37 +186,35 @@ def run_benchmark(rounds: int, workers: int) -> dict:
     return {
         "benchmark": "warm_universe_sessions",
         "workload": (
-            "per-app migrate -> re-verify rounds; cold fleet rebuilds and "
-            "re-checks everything, warm sessions replay the journal delta "
-            "and re-check only dirty methods"
+            "per-app migrate -> re-verify rounds; the serial twin rechecks "
+            "in-process, warm sessions replay the journal delta and "
+            "re-check only dirty methods on session workers"
         ),
         "rounds": rounds,
         "workers": workers,
         "cpu_count": cores,
         "apps": apps,
-        "cold_cpu_critical_path_per_round_s": round(cold_path, 4),
-        "warm_cpu_critical_path_per_round_s": round(warm_path, 4),
-        "cold_wall_per_round_s": round(cold_wall, 4),
+        "serial_wall_per_round_s": round(serial_wall, 4),
         "warm_wall_per_round_s": round(warm_wall, 4),
-        "speedup_cpu_critical_path": round(cold_path / warm_path, 2)
-        if warm_path else float("inf"),
-        "speedup_wall": round(cold_wall / warm_wall, 2)
+        "warm_cpu_critical_path_per_round_s": round(warm_path, 4),
+        "speedup_wall_vs_serial": round(serial_wall / warm_wall, 2)
         if warm_wall else float("inf"),
+        "speedup_projected_vs_serial": round(serial_wall / warm_path, 2)
+        if warm_path else float("inf"),
         "remote_rounds": sum(a["remote_rounds"] for a in apps),
         "parity": all(a["parity"] for a in apps),
         "warm_setup_seeded_s": round(setup_seeded, 4),
         "warm_setup_unseeded_s": round(setup_unseeded, 4),
         "warm_setup_drop": round(setup_drop, 4),
-        "pass": warm_path < cold_path and setup_drop >= 0.30,
+        "pass": setup_drop >= 0.30,
         "pass_criterion": (
-            "warm per-shard CPU critical path per round < cold fleet's "
-            "(machine-independent: process CPU time, not wall; this "
-            f"container has {cores} core(s), so wall time is recorded "
-            "honestly but not gated), every warm report asserted "
-            "verdict-for-verdict identical to the serial incremental twin, "
-            "and first-round warm setup wall >= 30% lower when the attach "
-            "adopts the cold fleet's shared replica catalogs "
-            "(warm_setup_drop >= 0.30)"
+            "every warm report asserted verdict-for-verdict identical to "
+            "its serial incremental twin, and the first warm round after a "
+            "migration >= 30% faster in wall time when the cold check ran "
+            "on the fleet (check_all(workers=N), session already attached) "
+            "than after a serial check_all (the round spawns and attaches) "
+            f"(warm_setup_drop >= 0.30); warm-vs-serial round times are "
+            f"recorded, not gated (this machine has {cores} core(s))"
         ),
     }
 
@@ -248,7 +235,8 @@ def main() -> int:
     results["quick_mode"] = quick
 
     header = (f"{'app':<12} {'methods':>8} {'dirty/round':>12} "
-              f"{'cold cpu (ms)':>14} {'warm cpu (ms)':>14} {'warm wall (ms)':>15}")
+              f"{'serial (ms)':>12} {'warm wall (ms)':>15} "
+              f"{'warm cpu (ms)':>14}")
     print(f"workload: migrate -> re-verify x {rounds} rounds at "
           f"{options.workers} workers (cpu_count={results['cpu_count']})")
     print(header)
@@ -256,22 +244,22 @@ def main() -> int:
     for entry in results["apps"]:
         print(f"{entry['label']:<12} {entry['methods_total']:>8} "
               f"{entry['methods_rechecked_per_round']:>12.1f} "
-              f"{entry['cold']['cpu_critical_path_per_round_s'] * 1e3:>14.1f} "
-              f"{entry['warm']['cpu_critical_path_per_round_s'] * 1e3:>14.1f} "
-              f"{entry['warm']['wall_per_round_s'] * 1e3:>15.1f}")
+              f"{entry['serial']['wall_per_round_s'] * 1e3:>12.1f} "
+              f"{entry['warm']['wall_per_round_s'] * 1e3:>15.1f} "
+              f"{entry['warm']['cpu_critical_path_per_round_s'] * 1e3:>14.1f}")
     print("-" * len(header))
-    print(f"per-round CPU critical path: cold "
-          f"{results['cold_cpu_critical_path_per_round_s'] * 1e3:.1f}ms vs warm "
-          f"{results['warm_cpu_critical_path_per_round_s'] * 1e3:.1f}ms "
-          f"({results['speedup_cpu_critical_path']:.2f}x); wall "
-          f"{results['cold_wall_per_round_s'] * 1e3:.1f}ms vs "
+    print(f"per-round wall: serial "
+          f"{results['serial_wall_per_round_s'] * 1e3:.1f}ms vs warm "
           f"{results['warm_wall_per_round_s'] * 1e3:.1f}ms "
-          f"({results['speedup_wall']:.2f}x) — parity held every round")
-    print(f"warm setup (first round after a migration): unseeded "
-          f"{results['warm_setup_unseeded_s'] * 1e3:.1f}ms vs seeded "
+          f"({results['speedup_wall_vs_serial']:.2f}x); warm CPU critical "
+          f"path {results['warm_cpu_critical_path_per_round_s'] * 1e3:.1f}ms "
+          f"(projection: {results['speedup_projected_vs_serial']:.2f}x) — "
+          f"parity held every round")
+    print(f"first warm round after a migration: after a serial check_all "
+          f"{results['warm_setup_unseeded_s'] * 1e3:.1f}ms vs after "
+          f"check_all(workers={options.workers}) "
           f"{results['warm_setup_seeded_s'] * 1e3:.1f}ms "
-          f"({results['warm_setup_drop'] * 100:.1f}% drop via shared "
-          f"catalogs)")
+          f"({results['warm_setup_drop'] * 100:.1f}% drop)")
 
     os.makedirs(os.path.dirname(os.path.abspath(options.json)), exist_ok=True)
     with open(options.json, "w") as handle:
@@ -285,12 +273,11 @@ def main() -> int:
             # the artifact but never gates the build on a perf threshold a
             # noisy 2-round sample could flip (verdict parity, asserted
             # above every round, still gates)
-            print("NOTE: warm recheck did not beat the cold fleet on "
-                  "per-shard CPU this sample — recorded, not gated in "
-                  "quick mode")
+            print("NOTE: the fleet cold check cut the first warm round by "
+                  "< 30% this sample — recorded, not gated in quick mode")
             return 0
-        print("FAIL: warm recheck did not beat the cold fleet on per-shard "
-              "CPU critical path")
+        print("FAIL: the fleet cold check cut the first warm round by "
+              "< 30%")
         return 1
     print("PASS")
     return 0

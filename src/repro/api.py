@@ -83,9 +83,8 @@ class CompRDL:
         self.incremental = IncrementalScheduler(self.checker, self.registry,
                                                 self.db)
         # methods (re)defined or annotated after the last `mark_pristine()`:
-        # a fresh rebuild of this universe would not see them, so the
-        # parallel cold check keeps them in-process (see check_all), and
-        # the warm session engine decides from them whether a delta can be
+        # a fresh rebuild of this universe would not see them, so the warm
+        # session engine decides from them whether a delta can be
         # bounded.  post_build_loads records the program sources that
         # caused them — the "method definition records" a session delta
         # replays against live worker replicas.
@@ -101,14 +100,10 @@ class CompRDL:
         self._method_event_log: list = []
         self._migrating_loads = False
         self._warm_engine = None
-        # True when _warm_engine was adopted from a caller-owned fleet
-        # (adopt_warm_engine): shutdown_warm then detaches instead of
-        # closing — the owner's cold rounds must keep working
-        self._warm_engine_adopted = False
         # per-recv reply deadline for warm session workers (None → the
         # process default, sessions.DEADLINE_S); set before the first
-        # recheck_dirty(workers=N) call — the fuzzer's fault profile uses a
-        # tight deadline so a wedged worker is detected within the round
+        # workers=N call — the fuzzer's fault profile uses a tight
+        # deadline so a wedged worker is detected within the round
         self.warm_deadline_s: float | None = None
         self.registry.add_method_listener(self._note_method_event)
 
@@ -141,8 +136,7 @@ class CompRDL:
         loaded so far is part of this universe's canonical build recipe
         (``SubjectApp.build`` calls this after loading the app source).
         Methods loaded *afterwards* diverge from a fresh rebuild, which the
-        parallel cold check uses to keep them in-process and the warm
-        session engine replays (new definitions) or refuses to bound
+        warm session engine replays (new definitions) or refuses to bound
         (redefinitions)."""
         self.post_build_methods.clear()
         self.post_build_loads = []
@@ -201,20 +195,19 @@ class CompRDL:
         after schema migrations) reuse every verdict whose recorded
         dependencies are untouched and re-check only the rest.
 
-        With ``workers > 1`` the methods are sharded across that many
-        spawn-mode worker processes (a *parallel cold check*): each worker
-        rebuilds the pristine subject app for its labels, so every label
-        must name a :mod:`repro.apps` subject app.  The merged report is
-        verdict-for-verdict identical to a serial run, worker-recorded
-        dependencies are fed back into the incremental engine, and any
-        schema change this universe made since its build conservatively
-        re-dirties the methods it could affect.
+        With ``workers > 1`` the methods to check are sharded across this
+        universe's *warm session workers* (see :meth:`recheck_dirty`):
+        each worker builds a live replica of the label's subject app once,
+        and their verdicts and dependency footprints are fed back into the
+        incremental engine, so a later ``recheck_dirty(workers=N)`` finds
+        the session attached.  A universe that cannot be replicated — a
+        label without a subject app, several labels, a post-build method
+        *re*definition — is checked serially instead; either way the
+        report is verdict-for-verdict identical to a serial run.
         """
         if workers <= 1:
             return self.incremental.check_all(labels)
-        from repro.parallel import check_universe_parallel
-
-        return check_universe_parallel(self, labels, workers)
+        return self._engine(workers).check_all(self, labels)
 
     def recheck_dirty(self, workers: int = 1) -> TypeErrorReport:
         """Re-verify only methods dirtied by schema changes since the last
@@ -233,6 +226,11 @@ class CompRDL:
         """
         if workers <= 1:
             return self.incremental.recheck_dirty()
+        return self._engine(workers).recheck_dirty(self)
+
+    def _engine(self, workers: int):
+        """This universe's warm session engine at ``workers`` (replacing
+        one of another size)."""
         from repro.parallel import ParallelCheckEngine
 
         engine = self._warm_engine
@@ -245,42 +243,20 @@ class CompRDL:
                 deadline_s=self.warm_deadline_s,
             )
             self._warm_engine = engine
-        return engine.recheck_dirty(self)
+        return engine
 
     @property
     def warm_engine(self):
-        """The warm session engine behind ``recheck_dirty(workers=N)``
-        (None until first used); exposes diagnostics like
-        ``last_warm_run``."""
+        """The warm session engine behind ``check_all`` /
+        ``recheck_dirty(workers=N)`` (None until first used); exposes
+        diagnostics like ``last_warm_run``."""
         return self._warm_engine
 
-    def adopt_warm_engine(self, engine) -> None:
-        """Use ``engine``'s worker fleet for ``recheck_dirty(workers=N)``.
-
-        A fleet that already ran cold rounds (or was primed) holds pristine
-        replicas in its workers' warm catalogs, so the first session attach
-        adopts them instead of rebuilding — the shared-catalog path that
-        collapses warm-setup cost.  The adopting universe does NOT own the
-        engine: ``shutdown_warm()`` releases the reference without closing
-        it, and the caller remains responsible for ``engine.close()``.
-        """
-        if self._warm_engine is engine:
-            return
-        self.shutdown_warm()
-        self._warm_engine = engine
-        self._warm_engine_adopted = True
-
     def shutdown_warm(self) -> None:
-        """Shut down the warm session workers (if any).  An adopted engine
-        (:meth:`adopt_warm_engine`) is detached, not closed — its owner
-        keeps using the fleet."""
+        """Shut down the warm session workers (if any)."""
         if self._warm_engine is not None:
-            if self._warm_engine_adopted:
-                self._warm_engine.detach()
-            else:
-                self._warm_engine.close()
+            self._warm_engine.close()
             self._warm_engine = None
-        self._warm_engine_adopted = False
 
     @property
     def incremental_stats(self) -> IncrementalStats:
@@ -335,8 +311,8 @@ class CompRDL:
         Answers from the provenance ledger (enable with
         ``CompRDL(provenance=True)``, ``obs.provenance.enable()``, or
         ``REPRO_PROVENANCE=1``): how the verdict was produced (fresh
-        in-process check, cold-fleet worker, warm-session worker — with
-        pid / shard / session id), the dependency footprint it was recorded
+        in-process check or warm-session worker — with pid / shard /
+        session id), the dependency footprint it was recorded
         with, the schema generation it was checked at and whether it has
         gone stale since, the journal events that dirtied it, comp-cache
         hit/miss attribution, timing, and the method's verdict-flip

@@ -6,8 +6,8 @@ paper's reported numbers.
 
 Run with ``python -m repro.evaluation.table1``.  Pass ``--check-apps`` to
 additionally cold-check every subject-app method those libraries serve
-(the paper checks them serially; ``--workers N`` shards the methods across
-a parallel worker fleet, see :mod:`repro.parallel`).
+(the paper checks them serially; ``--workers N`` checks each app on one
+shared fleet of warm session workers, see :mod:`repro.parallel`).
 """
 
 from __future__ import annotations
@@ -81,40 +81,42 @@ def render_table1(rows: dict | None = None) -> str:
 def fleet_check_rows(workers: int = 1, backend: str | None = None) -> dict:
     """Cold-check every subject app's labelled methods, per label.
 
-    With ``workers > 1`` the combined method set is sharded across a
-    parallel worker fleet; the verdicts are identical to a serial walk
-    either way (the merge guarantees it).  ``backend`` selects the storage
-    backend every universe is built against (memory or sqlite) — verdicts
-    are identical on both, which is the point.
+    With ``workers > 1`` every app is checked on one shared fleet of warm
+    session workers, each app attaching in turn; the verdicts are identical
+    to a serial walk either way.  ``backend`` selects the storage backend
+    every universe is built against (memory or sqlite) — verdicts are
+    identical on both, which is the point.
     """
     import time
 
     from repro.apps import all_apps
-    from repro.parallel import check_fleet
+    from repro.parallel import ParallelCheckEngine
 
-    labels = [app.label for app in all_apps()]
+    per_label: dict = {}
+    methods = 0
+    errors: list[str] = []
+    remote = 0
     start = time.perf_counter()
-    run = check_fleet(labels, workers=workers, backend=backend)
-    wall = time.perf_counter() - start
-    specs = _fleet_specs(run)
-    per_label = {
-        app.label: {"methods": sum(1 for s in specs if s.label == app.label)}
-        for app in all_apps()
-    }
+    with ParallelCheckEngine(workers=workers) as engine:
+        for app in all_apps():
+            rdl = app.build(backend=backend)
+            if workers > 1:
+                report = engine.check_all(rdl, app.label)
+                remote += engine.last_warm_run.remote
+            else:
+                report = rdl.check_all(app.label)
+            per_label[app.label] = {"methods": len(report.checked_methods)}
+            methods += len(report.checked_methods)
+            errors.extend(str(e) for e in report.errors)
     return {
         "labels": per_label,
-        "methods": len(run.report.checked_methods),
-        "errors": [str(e) for e in run.report.errors],
+        "methods": methods,
+        "errors": errors,
         "workers": workers,
         "backend": backend or "default",
-        "shards": len(run.shards),
-        "wall_s": wall,
-        "critical_path_s": run.critical_path_s,
+        "remote_apps": remote,
+        "wall_s": time.perf_counter() - start,
     }
-
-
-def _fleet_specs(run):
-    return [spec for shard in run.shards for spec in shard.specs]
 
 
 def warm_recheck_rows(workers: int = 2, backend: str | None = None) -> dict:
@@ -251,11 +253,11 @@ def render_fleet_check(workers: int = 1, backend: str | None = None) -> str:
     lines = [
         "",
         f"Subject-app cold check ({rows['workers']} worker(s), "
-        f"{rows['shards']} shard(s), {rows['backend']} backend):",
+        f"{rows['remote_apps']} app(s) on session workers, "
+        f"{rows['backend']} backend):",
         f"  methods checked: {rows['methods']}  "
         f"errors: {len(rows['errors'])}  "
-        f"wall: {rows['wall_s']:.3f}s  "
-        f"critical path: {rows['critical_path_s']:.3f}s",
+        f"wall: {rows['wall_s']:.3f}s",
     ]
     lines.extend(f"    - {e}" for e in rows["errors"])
     return "\n".join(lines)
@@ -268,7 +270,7 @@ if __name__ == "__main__":
     cli.add_argument("--check-apps", action="store_true",
                      help="also cold-check every subject-app method")
     cli.add_argument("--workers", type=int, default=1,
-                     help="shard the app check across N worker processes")
+                     help="check the apps on N warm session workers")
     cli.add_argument("--backend", default=None,
                      choices=["memory", "sqlite"],
                      help="storage backend for every universe "

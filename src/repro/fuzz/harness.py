@@ -7,8 +7,9 @@ Twins (all built from the same subject app, all fed every event):
 * ``sql`` — sqlite backend, serial incremental rechecks;
 * ``full`` — memory backend, but every checkpoint marks *everything*
   dirty first: the full-re-check oracle for invariant 2;
-* ``warm`` — memory backend, rechecked through warm session workers
-  (``storm``/``faults`` profiles only): the oracle for invariant 3.
+* ``warm`` — memory backend, cold-checked and rechecked through warm
+  session workers (``storm``/``faults`` profiles only): the subject of
+  invariant 3.
 
 The ``faults`` profile additionally arms :mod:`repro.obs.faults` through
 the environment (session workers re-arm themselves on spawn) — a wedged
@@ -200,12 +201,21 @@ class _Storm:
             if config.profile == "faults":
                 self.warm.warm_deadline_s = config.deadline_s
             self.twins.append(self.warm)
-        for rdl in self.twins:
-            rdl.check_all(self.label)
         self.model = SchemaModel.of_universe(self.mem)
         self.probes = _membership_probes(self.mem.interp)
         self.checkpoints = 0
         self.warm_remote = 0
+
+    def cold_check(self) -> None:
+        """Check every twin once; the warm twin on its session workers
+        (``check_all(workers=N)``), against the memory twin's report."""
+        serial_key = _report_key(self.mem.check_all(self.label))
+        for rdl in (self.sql, self.full):
+            rdl.check_all(self.label)
+        if self.warm is not None:
+            self._check_warm(
+                self.warm.check_all(self.label, workers=self.config.workers),
+                serial_key, step_index=0)
 
     def close(self) -> None:
         for rdl in self.twins:
@@ -258,18 +268,11 @@ class _Storm:
 
         # invariant 3: warm sessions ≡ serial
         if self.warm is not None:
-            warm_key = _report_key(
-                self.warm.recheck_dirty(workers=self.config.workers))
-            last_run = self.warm.warm_engine and \
-                self.warm.warm_engine.last_warm_run
-            if last_run is not None and last_run.remote:
+            report = self.warm.recheck_dirty(workers=self.config.workers)
+            if self.warm.warm_engine.last_warm_run.remote:
                 self.warm_remote += 1
                 bump("fuzz.warm_remote")
-            if warm_key != serial_key:
-                run = self.warm.warm_engine and self.warm.warm_engine.last_warm_run
-                self._fail("warm-vs-serial", step_index,
-                           f"warm {warm_key!r}\n  != serial {serial_key!r}"
-                           f"\n  warm run: {run!r}")
+            self._check_warm(report, serial_key, step_index)
 
         # invariant 4: static footprints cover dynamic deps
         from repro.analysis.footprint import FootprintAnalyzer
@@ -310,6 +313,15 @@ class _Storm:
                             f"{value!r}: compiled={compiled} "
                             f"structural={structural}")
 
+    def _check_warm(self, report, serial_key, step_index: int) -> None:
+        """Invariant 3 for one warm round's report."""
+        run = self.warm.warm_engine.last_warm_run
+        warm_key = _report_key(report)
+        if warm_key != serial_key:
+            self._fail("warm-vs-serial", step_index,
+                       f"warm {warm_key!r}\n  != serial {serial_key!r}"
+                       f"\n  warm run: {run!r}")
+
     def _fail(self, invariant: str, step_index: int, detail: str):
         bump("fuzz.violations")
         raise InvariantViolation(invariant, step_index, detail)
@@ -345,6 +357,7 @@ def run_events(events, config: StormConfig) -> FuzzReport:
             os.environ["REPRO_FAULTS"] = _fault_env(config)
         storm = _Storm(config)
         try:
+            storm.cold_check()
             for index, step in enumerate(events):
                 bump("fuzz.steps")
                 if not storm.model.applies(step):

@@ -50,7 +50,7 @@ class IncrementalScheduler:
         # dynamic deps; seeded by CompRDL.analyze() / adopt_static_footprints
         self.static_footprints: dict[object, object] = {}
         # every production path writes this universe's verdict provenance
-        # here — _check for fresh verdicts, feed_incremental for fleet/warm
+        # here — _check for fresh verdicts, feed_incremental for warm-session
         # adoptions; empty (and never touched) while provenance is disabled
         self.provenance = prov.ProvenanceLedger(stats=self.stats)
         if db is not None and hasattr(db, "add_change_listener"):

@@ -20,7 +20,6 @@ COST_EWMA_ALPHA = 0.4
 #: free-form ``extra`` counter -> its stable snapshot key.  Extras the map
 #: does not know land under ``extra.<key>`` so nothing is silently dropped.
 _EXTRA_KEYS = {
-    "split_bias": "planner.split_bias",
     "warm_worker_retries": "warm.retries",
     "warm_fallbacks": "warm.fallbacks",
     "warm_fallback_reason": "warm.fallback_reason",
@@ -131,7 +130,6 @@ class IncrementalStats:
             "schema.events": self.schema_events,
             "fleet.shards": self.parallel_shards,
             "fleet.rounds": self.parallel_rounds,
-            "planner.split_bias": 1.0,
             "planner.cost_model_size": len(self.method_costs),
             "warm.retries": 0,
             "warm.fallbacks": 0,

@@ -2,8 +2,8 @@
 
 One subsystem answers "where does a check round spend its time" across every
 layer grown so far: parse/compile, universe construction, comp evaluation
-(hit vs. miss), subtype queries, the shard planner, cold-fleet shard
-execution, warm-session attach/delta/recheck, and the storage backends.
+(hit vs. miss), subtype queries, the shard planner, warm-session
+attach/delta/check, and the storage backends.
 
 Usage::
 

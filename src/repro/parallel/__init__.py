@@ -1,38 +1,25 @@
-"""Parallel sharded checking: planner → spawn workers → verdict-parity merge.
+"""Parallel checking on warm session workers: plan → check → back-feed.
 
-The fleet partitions the methods of one or more subject-app labels into
-cost-balanced shards (:mod:`repro.parallel.planner`), checks each shard in a
-spawn-mode worker process that rebuilds its apps from the label
-(:mod:`repro.parallel.worker`), and deterministically folds the picklable
-verdicts back into a single report that is verdict-for-verdict identical to
-a serial run, back-feeding dependency footprints into the incremental
-engine (:mod:`repro.parallel.merge`).
+Session workers (:mod:`repro.parallel.sessions`,
+:mod:`repro.parallel.worker`) attach a live universe once — each builds
+pristine replicas of its subject app — then receive schema-journal deltas
+and post-build load records (:class:`SessionDelta`) instead of
+rebuilding.  Each round partitions the methods it must check into
+cost-balanced shards (:mod:`repro.parallel.planner`), checks them on the
+workers, and adopts the picklable verdicts and dependency footprints back
+into the universe's incremental engine (:mod:`repro.parallel.merge`), whose
+``resolve`` assembles a report verdict-for-verdict identical to a serial
+run.
 
-Beyond the one-shot cold fleet, the engine hosts **warm sessions**
-(:mod:`repro.parallel.sessions`): session workers attach live label
-universes once, then receive schema-journal deltas and post-build load
-records (:class:`SessionDelta`) and re-check only dirty methods
-(``CompRDL.recheck_dirty(workers=N)``) — no rebuilds between rounds.
-
-Use :class:`ParallelCheckEngine` for a persistent fleet,
-:func:`check_fleet` for one-shot checks,
-``CompRDL.check_all(labels, workers=N)`` to parallel-check one universe,
-or ``CompRDL.recheck_dirty(workers=N)`` for warm post-migration rechecks.
+Use ``CompRDL.check_all(labels, workers=N)`` to check a universe on its
+own warm fleet, ``CompRDL.recheck_dirty(workers=N)`` for post-migration
+rechecks on the same (still attached) session, or a
+:class:`ParallelCheckEngine` directly to share one fleet across several
+universes.
 """
 
-from repro.parallel.engine import (
-    ParallelCheckEngine,
-    ParallelRun,
-    WarmSyncError,
-    check_fleet,
-    check_universe_parallel,
-    specs_for_labels,
-)
-from repro.parallel.merge import (
-    ShardGapError,
-    feed_incremental,
-    merge_report,
-)
+from repro.parallel.engine import ParallelCheckEngine, WarmSyncError
+from repro.parallel.merge import feed_incremental
 from repro.parallel.planner import Shard, method_cost, plan_shards
 from repro.parallel.protocol import (
     AttachAck,
@@ -45,7 +32,6 @@ from repro.parallel.protocol import (
     SessionDelta,
     SessionError,
     ShardResult,
-    ShardTask,
     Shutdown,
 )
 from repro.parallel.sessions import (
@@ -64,24 +50,17 @@ __all__ = [
     "MethodSpec",
     "MethodVerdict",
     "ParallelCheckEngine",
-    "ParallelRun",
     "SessionDelta",
     "SessionError",
     "SessionPool",
     "SessionRequestFailed",
     "Shard",
-    "ShardGapError",
     "ShardResult",
-    "ShardTask",
     "Shutdown",
     "WarmRun",
     "WarmSyncError",
     "WorkerLost",
-    "check_fleet",
-    "check_universe_parallel",
     "feed_incremental",
-    "merge_report",
     "method_cost",
     "plan_shards",
-    "specs_for_labels",
 ]

@@ -1,46 +1,35 @@
-"""The parallel checking fleet: pool management and orchestration.
+"""The parallel checking fleet: warm session workers and their rounds.
 
-Entry points sharing the planner/worker/merge machinery:
+:class:`ParallelCheckEngine` is the one parallel path.  Session workers
+attach a live universe once — each builds pristine replicas of the
+universe's subject app — then receive schema-journal deltas plus
+post-build load records, and check only the methods a round needs:
 
-* :class:`ParallelCheckEngine` — a persistent fleet for checking one or
-  more subject-app labels across spawn workers, keeping the worker pool
-  warm between rounds (a cold check of the combined apps is one round; a
-  long-lived checking service runs many).  Observed per-method and
-  per-app-build costs flow back into the engine's stats after every round
-  (EWMA), and observed shard *imbalance* tunes the planner's split
-  threshold, so later plans balance on measurements instead of heuristics.
-* the engine's **warm session** methods (:meth:`ParallelCheckEngine.attach`
-  / :meth:`migrate` / :meth:`recheck_dirty`) — instead of rebuilding apps
-  every round, session workers keep live label universes, receive
-  schema-journal deltas plus post-build load records, and re-check only
-  the dirty methods; the merged report is verdict-for-verdict identical to
-  the serial incremental path.  Deltas that cannot be bounded (a
-  post-build method *re*definition — a redefined type-level helper can
-  change any verdict, which no dependency footprint bounds — or a journal
-  that has forgotten the needed events) fall back to the serial
-  incremental path, mirroring the cold fleet's fallback rule.
-* :func:`check_universe_parallel` — the ``CompRDL.check_all(labels,
-  workers=N)`` backend: shards *this universe's* methods, fans out, and
-  back-feeds the universe's incremental scheduler so ``recheck_dirty()``
-  behaves exactly as after a serial cold check.  Schema mutations the
-  parent made after its build are replayed conservatively: any method
-  whose footprint touches a table changed since the worker's (pristine)
-  generation is re-marked dirty.
+* :meth:`ParallelCheckEngine.check_all` — the ``CompRDL.check_all(labels,
+  workers=N)`` backend: the labels join the universe's scheduler, their
+  dirty / never-checked methods are sharded across session workers, and
+  the verdicts and dependency footprints are adopted back into the
+  scheduler, so ``recheck_dirty()`` behaves exactly as after a serial
+  check;
+* :meth:`ParallelCheckEngine.recheck_dirty` — the same round over every
+  label the scheduler tracks (``CompRDL.recheck_dirty(workers=N)``).
+
+Either way the report is verdict-for-verdict identical to the serial
+incremental path.  Deltas that cannot be bounded (a post-build method
+*re*definition — a redefined type-level helper can change any verdict,
+which no dependency footprint bounds — or a journal that has forgotten
+the needed events) run the round on that serial path instead.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from repro.incremental.stats import IncrementalStats
 from repro.obs import provenance as obs_prov
 from repro.obs import spans as obs_spans
-from repro.parallel import worker as worker_mod
-from repro.parallel.merge import feed_incremental, merge_report
+from repro.parallel.merge import feed_incremental
 from repro.parallel.planner import Shard, plan_shards
 from repro.parallel.protocol import (
     AttachUniverse,
@@ -49,7 +38,6 @@ from repro.parallel.protocol import (
     MethodSpec,
     SessionDelta,
     ShardResult,
-    ShardTask,
 )
 from repro.parallel.sessions import (
     DEADLINE_S,
@@ -61,12 +49,6 @@ from repro.parallel.sessions import (
 )
 from repro.typecheck.errors import TypeErrorReport
 
-#: shard-CPU imbalance (max/mean) a round may show before the engine
-#: loosens the planner's split threshold for the next round
-SPLIT_IMBALANCE_TOLERANCE = 1.25
-#: ceiling/decay for the feedback-driven split bias
-SPLIT_BIAS_MAX = 8.0
-SPLIT_BIAS_DECAY = 0.7
 #: session-sync retry budget: a lost/failed sync drops the pool (stale
 #: pipes cannot be resynchronized) and cold-reattaches a fresh one after
 #: an exponential backoff
@@ -76,40 +58,6 @@ SYNC_BACKOFF_S = 0.05
 
 class WarmSyncError(RuntimeError):
     """A warm session could not be converged with the live universe."""
-
-
-@dataclass
-class ParallelRun:
-    """One fleet round: the merged report plus scheduling diagnostics."""
-
-    report: TypeErrorReport
-    shards: list[Shard] = field(default_factory=list)
-    results: list[ShardResult] = field(default_factory=list)
-    wall_s: float = 0.0          # parent-observed wall time for the round
-    plan_s: float = 0.0          # time spent planning + merging (serial part)
-    critical_path_s: float = 0.0  # max worker CPU time: projected wall on
-                                  # a machine with >= workers free cores
-
-    @property
-    def worker_cpu_s(self) -> float:
-        return sum(result.cpu_s for result in self.results)
-
-
-def specs_for_labels(labels, registry_for_label) -> list[MethodSpec]:
-    """The serial-order method list for ``labels`` (registry order per
-    label).  Dedup is by *method key*, matching the serial scheduler: a
-    method annotated under several requested labels is checked once, under
-    the first label that names it."""
-    specs: list[MethodSpec] = []
-    seen: set = set()
-    for label in labels:
-        registry = registry_for_label(label)
-        for key in registry.methods_for_label(label):
-            if key not in seen:
-                seen.add(key)
-                specs.append(MethodSpec(
-                    label, key.class_name, key.method_name, key.static))
-    return specs
 
 
 def _normalize_labels(labels) -> list[str]:
@@ -130,7 +78,7 @@ def _static_costs_of(scheduler) -> dict | None:
 
 
 class ParallelCheckEngine:
-    """A persistent multi-process checking fleet over subject-app labels."""
+    """A persistent fleet of warm session workers."""
 
     def __init__(self, workers: int | None = None,
                  stats: IncrementalStats | None = None,
@@ -141,100 +89,20 @@ class ParallelCheckEngine:
         # default in sessions.DEADLINE_S); a wedged worker is killed and
         # re-planned around instead of blocking the engine forever
         self.deadline_s = deadline_s
-        # storage backend name for every universe this fleet builds —
-        # parent-side catalogs and worker-side rebuilds alike (None → the
-        # REPRO_DB_BACKEND environment default, which spawn children
-        # inherit); the name travels in each ShardTask, never a connection
+        # storage backend name the workers build their replicas against
+        # (None → the attached universe's own backend); only the name
+        # crosses the process boundary, never a connection
         self.backend = backend
         self.stats = stats or IncrementalStats()
-        self.build_costs: dict[str, float] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._catalog: dict[str, object] = {}  # label -> CompRDL (enumeration)
-        # observed-imbalance feedback into the planner's split threshold
-        self.split_bias: float = 1.0
-        # warm session state: a pool of stateful session workers plus the
-        # universe currently attached to them
+        # a pool of stateful session workers plus the universe currently
+        # attached to them
         self._session_pool: SessionPool | None = None
         self._attached_rdl = None
         self._attached_labels: list[str] = []
         self._session_id: str | None = None
         self.last_warm_run: WarmRun | None = None
 
-    # ------------------------------------------------------------------
-    # pool lifecycle
-    # ------------------------------------------------------------------
-    def pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        return self._pool
-
-    def warm_up(self, labels=()) -> float:
-        """Spin up every worker (interpreter start + repro imports) now, so
-        checking rounds measure checking.  Each worker pre-builds ``labels``
-        (default: the smallest subject app) into its warm replica catalog,
-        so the first cold round — and a later session attach — reuses them
-        instead of rebuilding.  Returns the warm-up wall time."""
-        start = time.perf_counter()
-        labels = _normalize_labels(labels) if labels else []
-        if not labels:
-            from repro.apps import all_apps
-
-            labels = [min(all_apps(), key=lambda a: a.source_loc()).label]
-        if self.workers == 1:
-            # degenerate fleet: everything runs in-process, nothing to warm
-            return time.perf_counter() - start
-        handles = self._session_handles()
-        task = ShardTask(shard_id=-1, specs=(), backend=self.backend,
-                         prebuild=tuple(labels))
-        sent = []
-        for handle in handles:
-            try:
-                handle.send(task)
-                sent.append(handle)
-            except WorkerLost:
-                continue
-        for handle in sent:
-            try:
-                handle.recv(deadline_s=self._cold_deadline())
-            except (WorkerLost, SessionRequestFailed):
-                continue
-        return time.perf_counter() - start
-
-    def prime(self, labels) -> float:
-        """One-time fleet set-up for ``labels``: build the parent-side
-        catalog universes (method enumeration + serial order) and warm every
-        worker, pre-building the labels' replicas worker-side.  Returns the
-        set-up wall time; after this, ``check_labels`` rounds measure
-        steady-state checking only."""
-        start = time.perf_counter()
-        labels = _normalize_labels(labels)
-        for label in labels:
-            self._catalog_universe(label)
-        self.warm_up(labels)
-        return time.perf_counter() - start
-
-    def _session_handles(self):
-        """The shared session-worker pool (spawned on first use): one fleet
-        of processes serves cold shards, warm-up prebuilds and warm
-        sessions, so their module-level replica catalogs are shared."""
-        if self._session_pool is None:
-            self._session_pool = SessionPool(
-                self.workers, deadline_s=self.deadline_s)
-        return self._session_pool.ensure()
-
-    def _cold_deadline(self) -> float:
-        # cold work (full app builds) legitimately takes seconds: use the
-        # generous process default even when the engine runs with a tight
-        # per-request deadline
-        return max(DEADLINE_S[0], self.deadline_s or 0.0)
-
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._session_pool is not None:
             self._session_pool.close()
             self._session_pool = None
@@ -249,143 +117,7 @@ class ParallelCheckEngine:
         self.close()
 
     # ------------------------------------------------------------------
-    # enumeration
-    # ------------------------------------------------------------------
-    def _registry_for_label(self, label: str):
-        return self._catalog_universe(label).registry
-
-    def _catalog_universe(self, label: str):
-        """A parent-side build of the label's app, cached: the source of the
-        serial method order and of the heuristic cost model's AST bodies."""
-        from repro.apps import app_for_label
-
-        universe = self._catalog.get(label)
-        if universe is None:
-            build_start = time.perf_counter()
-            universe = app_for_label(label).build(backend=self.backend)
-            self.build_costs.setdefault(
-                label, time.perf_counter() - build_start)
-            self._catalog[label] = universe
-        return universe
-
-    # ------------------------------------------------------------------
-    # checking
-    # ------------------------------------------------------------------
-    def check_labels(self, labels) -> ParallelRun:
-        """One cold fleet check of ``labels`` across the worker pool."""
-        labels = _normalize_labels(labels)
-        round_start = time.perf_counter()
-        round_span = obs_spans.span("fleet.round", label=",".join(labels))
-        round_span.__enter__()
-        plan_start = time.perf_counter()
-        specs = specs_for_labels(labels, self._registry_for_label)
-        shards = plan_shards(
-            specs,
-            self.workers,
-            registry_for_label=self._registry_for_label,
-            stats=self.stats,
-            build_costs=self.build_costs,
-            split_bias=self.split_bias,
-        )
-        plan_s = time.perf_counter() - plan_start
-
-        results = self._run_shards(shards)
-        for result in results:
-            obs_spans.absorb(result.spans)
-
-        merge_start = time.perf_counter()
-        with obs_spans.span("fleet.merge"):
-            report = merge_report(specs, results)
-        plan_s += time.perf_counter() - merge_start
-        self._absorb_costs(results)
-        run = ParallelRun(
-            report=report,
-            shards=shards,
-            results=results,
-            wall_s=time.perf_counter() - round_start,
-            plan_s=plan_s,
-            critical_path_s=max((r.cpu_s for r in results), default=0.0),
-        )
-        self.stats.parallel_rounds += 1
-        round_span.set("shards", len(shards))
-        round_span.set("methods", len(specs))
-        round_span.__exit__(None, None, None)
-        return run
-
-    def _run_shards(self, shards: list[Shard]) -> list[ShardResult]:
-        tasks = [
-            ShardTask(shard_id=shard.index, specs=tuple(shard.specs),
-                      backend=self.backend, trace=obs_spans.enabled(),
-                      provenance=obs_prov.enabled())
-            for shard in shards
-        ]
-        if self.workers == 1 or len(tasks) <= 1:
-            # degenerate fleet: run in-process, same protocol
-            return [worker_mod.run_shard(task) for task in tasks]
-        # cold shards ride the session workers: same processes (and same
-        # warm replica catalogs) as later session attaches, so a cold
-        # round's builds seed the warm path.  Send all, then recv in task
-        # order (replies are FIFO per pipe); a lost worker's task reruns
-        # in-process so the round always completes.
-        handles = self._session_handles()
-        in_flight: list = []
-        for index, task in enumerate(tasks):
-            handle = handles[index % len(handles)]
-            try:
-                handle.send(task)
-            except WorkerLost:
-                handle = None
-            in_flight.append((handle, task))
-        results: list[ShardResult] = []
-        for handle, task in in_flight:
-            result = None
-            if handle is not None:
-                try:
-                    result = handle.recv(deadline_s=self._cold_deadline())
-                except (WorkerLost, SessionRequestFailed):
-                    obs_spans.event("fleet.worker_lost",
-                                    args={"shard": task.shard_id})
-                    result = None
-            if result is None:
-                result = worker_mod.run_shard(task)
-            results.append(result)
-        return results
-
-    def _absorb_costs(self, results: list[ShardResult]) -> None:
-        """Feed observed costs back into the planner's model (EWMA per
-        method) and observed shard imbalance into the split threshold."""
-        for result in results:
-            for label, build_s in result.build_s.items():
-                self.build_costs[label] = build_s
-            for verdict in result.verdicts:
-                self.stats.observe_cost(verdict.desc, verdict.cost_s)
-            self.stats.parallel_shards += 1
-            self.stats.methods_checked_parallel += len(result.verdicts)
-        self._absorb_imbalance(results)
-
-    def _absorb_imbalance(self, results: list[ShardResult]) -> None:
-        """Tune the planner's split eagerness from observed shard CPU.
-
-        A round whose slowest shard dominates the mean means the cost model
-        under-predicted that shard's methods — the next plan should split
-        finer (raise ``split_bias``).  Balanced rounds decay the bias back
-        toward 1.0 so a transient skew does not over-fragment forever.
-        """
-        cpu = [result.cpu_s for result in results]
-        if len(cpu) < 2:
-            return
-        mean = sum(cpu) / len(cpu)
-        if mean <= 0:
-            return
-        imbalance = max(cpu) / mean
-        if imbalance > SPLIT_IMBALANCE_TOLERANCE:
-            self.split_bias = min(self.split_bias * imbalance, SPLIT_BIAS_MAX)
-        else:
-            self.split_bias = max(1.0, self.split_bias * SPLIT_BIAS_DECAY)
-        self.stats.extra["split_bias"] = self.split_bias
-
-    # ------------------------------------------------------------------
-    # warm sessions: attach / migrate / recheck_dirty
+    # warm sessions: attach / migrate / check_all / recheck_dirty
     # ------------------------------------------------------------------
     def attach(self, rdl, labels=None) -> str:
         """Attach a live universe to warm session workers.
@@ -393,7 +125,7 @@ class ParallelCheckEngine:
         Each session worker builds pristine replicas of every label's
         subject app once (the cold step) and keeps them alive; afterwards
         :meth:`migrate` ships journal deltas instead of rebuilds and
-        :meth:`recheck_dirty` checks only dirty methods remotely.  Raises
+        :meth:`check_all` checks only pending methods remotely.  Raises
         ``ValueError`` when the universe cannot be warm-replicated (see
         :meth:`warm_block_reason`); returns the session id.
         """
@@ -418,8 +150,8 @@ class ParallelCheckEngine:
     def migrate(self, rdl=None) -> int:
         """Converge every session worker with the live universe now
         (journal events + post-build load records).  Returns the synced
-        generation.  Implicitly called by :meth:`recheck_dirty`; exposed
-        for callers that want to overlap delta replay with other work."""
+        generation.  Implicitly called by :meth:`check_all`; exposed for
+        callers that want to overlap delta replay with other work."""
         rdl = self._require_attached(rdl)
         try:
             self._sync_session(rdl)
@@ -428,47 +160,48 @@ class ParallelCheckEngine:
             raise
         return rdl.db.version
 
-    def recheck_dirty(self, rdl=None) -> TypeErrorReport:
-        """Re-verify the universe's dirty methods across warm workers.
+    def check_all(self, rdl, labels) -> TypeErrorReport:
+        """Check ``labels`` of a live universe across warm workers.
 
-        The warm counterpart of ``IncrementalScheduler.recheck_dirty``:
-        dirty / never-checked methods are sharded across session workers
-        (after a delta sync), their verdicts and dependency footprints are
-        adopted back into the scheduler, and the returned report covers
-        every previously-checked label — verdict-for-verdict identical to
-        the serial incremental path.  Falls back to that serial path
-        whenever the delta cannot be bounded or the session cannot be
-        converged; a worker death mid-round re-plans the lost shard onto
-        surviving workers, so the round always completes.
+        The warm counterpart of ``IncrementalScheduler.check_all``: the
+        labels join the scheduler's label list, their dirty / never-checked
+        methods are sharded across session workers (after an attach or a
+        delta sync), the verdicts and dependency footprints are adopted
+        back into the scheduler, and the returned report covers exactly
+        ``labels`` — verdict-for-verdict identical to the serial path.
+        Falls back to that serial path whenever the delta cannot be
+        bounded or the session cannot be converged; a worker death
+        mid-round re-plans the lost shard onto surviving workers, so the
+        round always completes.
         """
-        if rdl is None:
-            rdl = self._attached_rdl
-        if rdl is None:
-            raise ValueError("no universe attached: call attach(rdl) first "
-                             "or pass rdl=")
+        labels = _normalize_labels(labels)
         scheduler = rdl.incremental
-        # follow the scheduler's label list (it may have grown since
-        # attach): the warm report must cover exactly what the serial
-        # incremental report would
-        labels = list(scheduler.labels)
-        reason = self.warm_block_reason(rdl, labels)
+        for label in labels:
+            if label not in scheduler.labels:
+                scheduler.labels.append(label)
+        serial_keys = scheduler.keys_for(labels)
+        # the session replicates every label the scheduler tracks, so a
+        # later round over any of them finds it attached
+        session_labels = list(scheduler.labels)
+        reason = self.warm_block_reason(rdl, session_labels)
         if reason is not None:
-            return self._fallback_serial(scheduler, reason)
+            return self._fallback_serial(scheduler, serial_keys, reason)
 
         round_start = time.perf_counter()
-        serial_keys = scheduler.keys_for(labels)
         pending = scheduler.pending_keys(labels)
         if not pending:
             self.last_warm_run = WarmRun(methods=0, remote=False)
             return scheduler.resolve(serial_keys)
-        round_span = obs_spans.span("warm.round", label=",".join(labels))
+        round_span = obs_spans.span("warm.round",
+                                    label=",".join(session_labels))
         round_span.__enter__()
         round_span.set("dirty", len(pending))
 
         sync_start = time.perf_counter()
         try:
-            if rdl is not self._attached_rdl or labels != self._attached_labels:
-                self.attach(rdl, labels)
+            if (rdl is not self._attached_rdl
+                    or session_labels != self._attached_labels):
+                self.attach(rdl, session_labels)
             elif self._delta_irrelevant(rdl, pending):
                 # every pending method's static footprint is disjoint from
                 # the un-synced journal delta: checking on the stale
@@ -484,12 +217,13 @@ class ParallelCheckEngine:
             self._abort_session()
             round_span.set("fallback", True)
             round_span.__exit__(None, None, None)
-            return self._fallback_serial(scheduler, f"session sync failed: {exc}")
+            return self._fallback_serial(scheduler, serial_keys,
+                                         f"session sync failed: {exc}")
         sync_s = time.perf_counter() - sync_start
 
         plan_start = time.perf_counter()
         label_of: dict = {}
-        for label in labels:
+        for label in session_labels:
             for key in rdl.registry.methods_for_label(label):
                 label_of.setdefault(key, label)
         specs = [
@@ -503,9 +237,6 @@ class ParallelCheckEngine:
             max(1, len(workers)),
             registry_for_label=lambda _label: rdl.registry,
             stats=scheduler.stats,
-            # replicas are already alive: splitting a label costs nothing
-            build_costs={label: 0.0 for label in labels},
-            split_bias=self.split_bias,
             static_costs=_static_costs_of(scheduler),
         )
         plan_s = time.perf_counter() - plan_start
@@ -514,7 +245,6 @@ class ParallelCheckEngine:
         feed_incremental(scheduler, results, generation=rdl.db.version,
                          producer={"kind": "warm",
                                    "session": self._session_id})
-        self._absorb_imbalance(results)
         scheduler.stats.parallel_rounds += 1
         # resolve() assembles the report in serial order from the adopted
         # verdicts — and is the completeness backstop: anything a lost
@@ -534,6 +264,19 @@ class ParallelCheckEngine:
         round_span.set("retries", retries)
         round_span.__exit__(None, None, None)
         return report
+
+    def recheck_dirty(self, rdl=None) -> TypeErrorReport:
+        """Re-verify the universe's dirty methods across warm workers.
+
+        :meth:`check_all` over every label the scheduler has checked so
+        far — the warm counterpart of ``IncrementalScheduler.recheck_dirty``.
+        """
+        if rdl is None:
+            rdl = self._attached_rdl
+        if rdl is None:
+            raise ValueError("no universe attached: call attach(rdl) first "
+                             "or pass rdl=")
+        return self.check_all(rdl, rdl.incremental.labels)
 
     def detach(self) -> None:
         """Drop the attached session (workers stay up for re-attachment)."""
@@ -574,6 +317,11 @@ class ParallelCheckEngine:
 
         if not labels:
             return "no labels have been checked yet"
+        for label in labels:
+            try:
+                app_for_label(label)
+            except KeyError:
+                return f"label {label!r} names no subject app"
         if len(labels) > 1:
             # each replica is one label's app, but the universe has ONE
             # journal and one pristine generation spanning all of them —
@@ -603,11 +351,6 @@ class ParallelCheckEngine:
         if getattr(rdl, "post_build_migrating_loads", False):
             return ("a post-build load migrated the schema itself: its "
                     "journal events and its source would replay twice")
-        for label in labels:
-            try:
-                app_for_label(label)
-            except KeyError:
-                return f"label {label!r} names no subject app"
         if pristine < rdl.db.journal.oldest_retained:
             return ("the schema journal no longer reaches the pristine "
                     "generation (too many migrations)")
@@ -656,12 +399,26 @@ class ParallelCheckEngine:
                 return False
         return True
 
-    def _fallback_serial(self, scheduler, reason: str) -> TypeErrorReport:
+    def _fallback_serial(self, scheduler, keys, reason: str) -> TypeErrorReport:
+        """Run the round in-process: resolve exactly ``keys``, and say why
+        in the stats, the metrics counters and the trace."""
         extra = scheduler.stats.extra
         extra["warm_fallbacks"] = extra.get("warm_fallbacks", 0) + 1
         extra["warm_fallback_reason"] = reason
+        obs_spans.bump("sessions.fallbacks")
+        obs_spans.event("warm.fallback", args={"reason": reason})
         self.last_warm_run = WarmRun(remote=False, fallback_reason=reason)
-        return scheduler.recheck_dirty()
+        return scheduler.resolve(keys)
+
+    def _attach_deadline(self) -> float:
+        """The reply deadline for a cold attach.  Attaches build whole apps
+        and legitimately take seconds, so a tight per-engine deadline never
+        applies to them: they get the process default, and a disabled
+        default (``<= 0``) lets them wait for as long as they take."""
+        default = DEADLINE_S[0]
+        if default <= 0:
+            return default
+        return max(default, self.deadline_s or 0.0)
 
     def _sync_session(self, rdl) -> None:
         """Bring every session worker to the universe's current state.
@@ -729,11 +486,7 @@ class ParallelCheckEngine:
                 continue
         for handle in sent:
             try:
-                # cold attaches legitimately take seconds (full app build),
-                # so acks get the generous process-default deadline even
-                # when the engine runs with a tight per-request one
-                ack = handle.recv(deadline_s=max(
-                    DEADLINE_S[0], self.deadline_s or 0.0))
+                ack = handle.recv(deadline_s=self._attach_deadline())
             except WorkerLost:
                 continue
             obs_spans.absorb(getattr(ack, "spans", ()))
@@ -848,95 +601,3 @@ class ParallelCheckEngine:
             extra["warm_worker_retries"] = (
                 extra.get("warm_worker_retries", 0) + retries)
         return results, retries
-
-
-def check_fleet(labels, workers: int, backend: str | None = None) -> ParallelRun:
-    """One-shot convenience: spin a fleet up, check, tear it down."""
-    with ParallelCheckEngine(workers=workers, backend=backend) as engine:
-        return engine.check_labels(labels)
-
-
-# ---------------------------------------------------------------------------
-# CompRDL.check_all(labels, workers=N) backend
-# ---------------------------------------------------------------------------
-
-def check_universe_parallel(rdl, labels, workers: int) -> TypeErrorReport:
-    """Shard this universe's labelled methods across a worker fleet.
-
-    Workers rebuild each label's subject app *pristine* (a cold check), so
-    delegation is only sound while this universe is reproducible from that
-    build.  Schema mutations are attributable — the journal knows which
-    tables changed, so affected methods are re-resolved in-process below —
-    but a method (re)defined after ``mark_pristine()`` may be a type-level
-    helper whose new behaviour silently changes *any other* method's
-    verdict, which no dependency footprint can bound.  In that case the
-    whole check falls back to the serial incremental path: correct verdicts
-    beat parallel wrong ones.
-    """
-    from repro.apps import app_for_label
-
-    labels = _normalize_labels(labels)
-    for label in labels:
-        app_for_label(label)  # raises KeyError early for unknown labels
-
-    if getattr(rdl, "post_build_methods", None):
-        return rdl.incremental.check_all(labels)
-
-    scheduler = rdl.incremental
-    specs = specs_for_labels(labels, lambda _label: rdl.registry)
-    if not specs:
-        return TypeErrorReport()
-
-    shards = plan_shards(
-        specs,
-        workers,
-        registry_for_label=lambda _label: rdl.registry,
-        stats=scheduler.stats,
-        build_costs=None,
-        static_costs=_static_costs_of(scheduler),
-    )
-    tasks = [
-        ShardTask(shard_id=shard.index, specs=tuple(shard.specs),
-                  backend=rdl.db.backend_name, trace=obs_spans.enabled(),
-                  provenance=obs_prov.enabled())
-        for shard in shards
-    ]
-    results: list[ShardResult] = []
-    if tasks:
-        with ProcessPoolExecutor(
-            max_workers=max(1, workers),
-            mp_context=multiprocessing.get_context("spawn"),
-        ) as pool:
-            results = [r for r in pool.map(worker_mod.run_shard, tasks)]
-    for result in results:
-        obs_spans.absorb(result.spans)
-
-    report = merge_report(specs, results)
-    feed_incremental(scheduler, results, generation=rdl.db.version,
-                     producer={"kind": "fleet"})
-    scheduler.stats.parallel_rounds += 1
-    for label in labels:
-        if label not in scheduler.labels:
-            scheduler.labels.append(label)
-
-    # the parent may have migrated its schema since build: workers saw the
-    # pristine apps, so re-dirty anything those later generations could have
-    # touched — and then *resolve* the dirty methods against the live
-    # universe so the returned report matches a serial run of this universe,
-    # not the pristine one
-    worker_generations = [
-        version
-        for result in results
-        for version in result.db_versions.values()
-    ]
-    if worker_generations:
-        oldest = min(worker_generations)
-        changed = rdl.db.journal.tables_changed_since(oldest)
-        if changed:
-            affected = scheduler.tracker.methods_affected_by(changed) \
-                & set(scheduler.results)
-            scheduler.dirty |= affected
-    spec_keys = [spec.key() for spec in specs]
-    if any(key in scheduler.dirty for key in spec_keys):
-        report = scheduler.resolve(spec_keys)
-    return report

@@ -1,72 +1,35 @@
-"""Deterministic verdict merging and incremental back-feed.
+"""Incremental back-feed: adopt worker verdicts into a universe.
 
 Workers finish in whatever order the scheduler and the OS allow, so the
-merge never trusts arrival order: the caller supplies the *serial order* —
-the exact method sequence a one-process ``check_label`` walk would visit —
-and verdicts are folded into the report in that order.  The resulting
-:class:`TypeErrorReport` is verdict-for-verdict identical to a serial run:
-same ``checked_methods`` sequence, same error order, same cast counters.
-
-``feed_incremental`` then installs each verdict and its recorded dependency
-footprint into a universe's scheduler and dependency tracker, so
-``recheck_dirty()`` after a parallel cold check dirties exactly the same
-methods a serially-checked universe would.
+engine never assembles a report from arrival order.  ``feed_incremental``
+installs each verdict and its recorded dependency footprint into the
+universe's scheduler and dependency tracker; the scheduler's ``resolve``
+then builds the report in serial order from those adopted verdicts, so
+the report — and every later ``recheck_dirty()`` — is verdict-for-verdict
+identical to a serially-checked universe's.
 """
 
 from __future__ import annotations
 
 from repro.incremental.scheduler import MethodResult
 from repro.obs.state import PROVENANCE as _PROV_ON
-from repro.parallel.protocol import MethodSpec, MethodVerdict, ShardResult
-from repro.typecheck.errors import TypeErrorReport
+from repro.parallel.protocol import ShardResult
 
 
-class ShardGapError(RuntimeError):
-    """A shard failed to produce verdicts the merge needed."""
-
-
-def collect_verdicts(results: list[ShardResult]) -> dict[MethodSpec, MethodVerdict]:
-    verdicts: dict[MethodSpec, MethodVerdict] = {}
-    for result in results:
-        for verdict in result.verdicts:
-            verdicts[verdict.spec] = verdict
-    return verdicts
-
-
-def merge_report(serial_order: list[MethodSpec],
-                 results: list[ShardResult]) -> TypeErrorReport:
-    """Fold shard results into one report, in serial checking order."""
-    verdicts = collect_verdicts(results)
-    missing = [spec.desc for spec in serial_order if spec not in verdicts]
-    if missing:
-        raise ShardGapError(
-            f"no verdict returned for {len(missing)} method(s): "
-            f"{', '.join(missing[:5])}{'…' if len(missing) > 5 else ''}")
-    report = TypeErrorReport()
-    for spec in serial_order:
-        verdict = verdicts[spec]
-        report.checked_methods.append(verdict.desc)
-        report.errors.extend(verdict.rebuild_errors())
-        report.casts_used += verdict.casts_used
-        report.oracle_casts += verdict.oracle_casts
-    return report
-
-
-def feed_incremental(scheduler, results: list[ShardResult],
-                     generation: int | None = None,
+def feed_incremental(scheduler, results: list[ShardResult], generation: int,
                      producer: dict | None = None) -> int:
     """Install worker verdicts into a universe's incremental engine.
 
-    Each method gets a cached :class:`MethodResult` plus its worker-recorded
-    dependency footprint, its dirty flag is cleared, and its observed cost
-    feeds the planner's cost model for the next round.  Returns the number
-    of verdicts adopted.
+    Each method gets a cached :class:`MethodResult` checked at
+    ``generation`` plus its worker-recorded dependency footprint, its
+    dirty flag is cleared, and its observed cost feeds the planner's cost
+    model for the next round.  Returns the number of verdicts adopted.
 
     With provenance enabled, each adoption is also recorded in the
     scheduler's ledger: ``producer`` supplies the production kind (the
-    engine passes ``{"kind": "fleet"}`` or ``{"kind": "warm", "session":
-    id}``) and the worker's pid/shard plus the piggybacked comp-cache
-    deltas are filled in per verdict.
+    engine passes ``{"kind": "warm", "session": id}``) and the worker's
+    pid/shard plus the piggybacked comp-cache deltas are filled in per
+    verdict.
     """
     tracker = scheduler.tracker
     stats = scheduler.stats
@@ -77,27 +40,25 @@ def feed_incremental(scheduler, results: list[ShardResult],
         for verdict in result.verdicts:
             key = verdict.spec.key()
             errors = verdict.rebuild_errors()
-            checked_at = (generation if generation is not None
-                          else result.db_versions.get(verdict.spec.label, 0))
             scheduler.results[key] = MethodResult(
                 key=key,
                 desc=verdict.desc,
                 errors=errors,
                 casts_used=verdict.casts_used,
                 oracle_casts=verdict.oracle_casts,
-                generation=checked_at,
+                generation=generation,
             )
             if verdict.deps is not None:
                 tracker.adopt(key, verdict.deps)
             scheduler.dirty.discard(key)
             if prov_on:
-                who = dict(producer) if producer else {"kind": "fleet"}
-                who.setdefault("kind", "fleet")
+                who = dict(producer) if producer else {"kind": "warm"}
+                who.setdefault("kind", "warm")
                 who["pid"] = result.pid
                 who["shard"] = result.shard_id
                 comp_hits, comp_misses = verdict.prov or (0, 0)
                 scheduler.provenance.record(
-                    key, verdict.desc, errors, checked_at,
+                    key, verdict.desc, errors, generation,
                     deps=verdict.deps,
                     producer=who,
                     comp_hits=comp_hits,

@@ -1,24 +1,17 @@
-"""The shard planner: partition a fleet's methods into balanced shards.
+"""The shard planner: partition a round's methods into balanced shards.
 
-The cost model mirrors how work is actually spent:
-
-* a method's **check cost** is its last *observed* wall time when the
-  incremental stats have one (``IncrementalStats.method_costs``, recorded by
-  every ``TypeChecker.check_one``), falling back to a comp-count heuristic —
-  call sites are where comp types evaluate (rule C-App-Comp), so a body's
-  ``MethodCall`` node count is the best static proxy for its checking cost;
-* a label's **build cost** is the price a worker pays to rebuild that
-  subject app from scratch (observed from previous shard results when
-  available).  Build cost is what makes naive method-scatter slow: every
-  worker holding any method of an app must rebuild the whole app, so the
-  planner keeps a label's methods together and only *splits* a label across
-  shards when the split saves more checking time than it duplicates in
-  build time.
+A method's **check cost** is its last *observed* wall time when the
+incremental stats have one (``IncrementalStats.method_costs``, recorded by
+every ``TypeChecker.check_one``), then its static-analysis cost weight,
+falling back to a comp-count heuristic — call sites are where comp types
+evaluate (rule C-App-Comp), so a body's ``MethodCall`` node count is the
+best static proxy for its checking cost.  Session workers already hold
+live replicas, so splitting a label across shards costs nothing: the
+planner splits while workers are spare and packs by predicted cost.
 
 Planning is deterministic: all orderings derive from the caller's label
 order and each label's registry order, with explicit tie-breaks, so the
-same inputs always produce the same shards (a prerequisite for the
-verdict-parity merge).
+same inputs always produce the same shards.
 """
 
 from __future__ import annotations
@@ -30,8 +23,6 @@ from repro.lang import ast_nodes as ast
 from repro.obs.spans import traced
 from repro.parallel.protocol import MethodSpec
 
-#: fallback app (re)build cost in seconds, used until a worker reports one
-DEFAULT_BUILD_COST = 0.05
 #: fallback per-method base checking cost in seconds
 BASE_METHOD_COST = 0.0004
 #: heuristic cost of one potential comp-evaluation site (a call node)
@@ -93,16 +84,11 @@ class _Bin:
 
     label: str
     entries: list[tuple[MethodSpec, float]]
-    build_cost: float
     seq: int  # creation order, for deterministic tie-breaks
 
     @property
     def check_cost(self) -> float:
         return sum(cost for _, cost in self.entries)
-
-    @property
-    def total_cost(self) -> float:
-        return self.build_cost + self.check_cost
 
 
 @dataclass
@@ -113,14 +99,6 @@ class Shard:
     specs: list[MethodSpec] = field(default_factory=list)
     predicted_cost: float = 0.0
 
-    @property
-    def labels(self) -> list[str]:
-        seen: list[str] = []
-        for spec in self.specs:
-            if spec.label not in seen:
-                seen.append(spec.label)
-        return seen
-
 
 @traced("fleet.plan_shards")
 def plan_shards(
@@ -128,32 +106,22 @@ def plan_shards(
     workers: int,
     registry_for_label=None,
     stats=None,
-    build_costs: dict[str, float] | None = None,
-    split_bias: float = 1.0,
     static_costs: dict | None = None,
 ) -> list[Shard]:
     """Partition ``specs`` into at most ``workers`` balanced shards.
 
     ``registry_for_label`` maps a label to the AnnotationRegistry holding its
-    method bodies (for the comp-count heuristic); ``build_costs`` carries
-    observed per-label app build times; ``static_costs`` maps method descs
-    to analysis-derived cost weights (``AnalysisReport.static_costs()``),
-    consulted when no wall time has been observed yet.  Three phases:
+    method bodies (for the comp-count heuristic); ``static_costs`` maps
+    method descs to analysis-derived cost weights
+    (``AnalysisReport.static_costs()``), consulted when no wall time has
+    been observed yet.  Three phases:
 
     1. **bin** — one bin per label, methods costed individually;
-    2. **split** — while there are spare workers, halve the bin whose check
-       cost dominates, but only when half the saved checking outweighs the
-       duplicated build cost;
+    2. **split** — while there are spare workers, halve the bin with the
+       largest check cost;
     3. **pack** — longest-processing-time greedy over bins into shards.
-
-    ``split_bias`` scales how eagerly phase 2 splits: the fleet engine
-    raises it when observed shard CPU times come back imbalanced (the cost
-    model under-predicted some label's methods, so the plan should split
-    finer next round) and decays it back toward 1.0 while rounds stay
-    balanced.
     """
     workers = max(1, workers)
-    build_costs = build_costs or {}
 
     bins: list[_Bin] = []
     by_label: dict[str, _Bin] = {}
@@ -162,19 +130,14 @@ def plan_shards(
         cost = method_cost(spec, registry, stats, static_costs)
         existing = by_label.get(spec.label)
         if existing is None:
-            existing = _Bin(
-                label=spec.label,
-                entries=[],
-                build_cost=build_costs.get(spec.label, DEFAULT_BUILD_COST),
-                seq=len(bins),
-            )
+            existing = _Bin(label=spec.label, entries=[], seq=len(bins))
             by_label[spec.label] = existing
             bins.append(existing)
         existing.entries.append((spec, cost))
 
     seq = len(bins)
     while len(bins) < workers:
-        candidate = _best_split(bins, split_bias)
+        candidate = _best_split(bins)
         if candidate is None:
             break
         bins.remove(candidate)
@@ -186,12 +149,9 @@ def plan_shards(
     if not shards:
         return []
     loads = [0.0] * len(shards)
-    build_paid: list[set[str]] = [set() for _ in shards]
-    for bin_ in sorted(bins, key=lambda b: (-b.total_cost, b.seq)):
+    for bin_ in sorted(bins, key=lambda b: (-b.check_cost, b.seq)):
         target = min(range(len(shards)), key=lambda i: (loads[i], i))
-        extra_build = 0.0 if bin_.label in build_paid[target] else bin_.build_cost
-        build_paid[target].add(bin_.label)
-        loads[target] += bin_.check_cost + extra_build
+        loads[target] += bin_.check_cost
         shards[target].specs.extend(spec for spec, _ in bin_.entries)
         shards[target].predicted_cost = loads[target]
 
@@ -201,15 +161,11 @@ def plan_shards(
     return [s for s in shards if s.specs]
 
 
-def _best_split(bins: list[_Bin], split_bias: float = 1.0) -> _Bin | None:
-    """The bin most worth halving, or None when no split pays for itself:
-    halving saves ~check/2 of wall time on the critical path but costs one
-    extra app build.  ``split_bias > 1`` (fed back from observed shard
-    imbalance) discounts the duplicated build cost, making splits easier
-    to justify."""
+def _best_split(bins: list[_Bin]) -> _Bin | None:
+    """The bin most worth halving (the largest check cost among bins with
+    two or more methods), or None when no bin can be halved."""
     candidates = [
-        b for b in bins
-        if len(b.entries) > 1 and b.check_cost * split_bias / 2 > b.build_cost
+        b for b in bins if len(b.entries) > 1 and b.check_cost > 0
     ]
     if not candidates:
         return None
@@ -218,8 +174,8 @@ def _best_split(bins: list[_Bin], split_bias: float = 1.0) -> _Bin | None:
 
 def _halve(bin_: _Bin, seq: int) -> tuple[_Bin, _Bin]:
     """Split one bin's methods into two cost-balanced halves (LPT)."""
-    left = _Bin(bin_.label, [], bin_.build_cost, seq)
-    right = _Bin(bin_.label, [], bin_.build_cost, seq + 1)
+    left = _Bin(bin_.label, [], seq)
+    right = _Bin(bin_.label, [], seq + 1)
     ordered = sorted(
         enumerate(bin_.entries), key=lambda item: (-item[1][1], item[0])
     )

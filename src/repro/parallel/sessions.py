@@ -227,7 +227,7 @@ class SessionPool:
 
 @dataclass
 class WarmRun:
-    """Diagnostics for one warm ``recheck_dirty`` round."""
+    """Diagnostics for one warm round (``check_all`` / ``recheck_dirty``)."""
 
     methods: int = 0                 # dirty/new methods shipped to workers
     remote: bool = False             # False: nothing pending or fell back

@@ -1,29 +1,17 @@
-"""The worker side of the parallel checking protocol.
+"""The worker side of the warm session protocol.
 
 Runs inside a spawn-mode child process (every function here must be
 importable from a fresh interpreter — no closures, no inherited state).
 
-Two service styles share the checking loop:
-
-* **one-shot** (:func:`run_shard`): the worker receives a
-  :class:`ShardTask`, rebuilds each subject app named by the shard's
-  labels from scratch (the cold-check contract: workers verify pristine
-  universes, exactly what a serial cold check of the same app sees), runs
-  ``TypeChecker.check_one`` for every method in shard order, and ships
-  back picklable verdicts together with the dependency footprints the
-  checker recorded — so the parent can back-feed its incremental
-  dependency graph.
-
-* **session** (:func:`session_main`): a stateful dispatch loop over a
-  pipe, keyed by session id.  ``AttachUniverse`` builds live label
-  universes once; ``SessionDelta`` replays schema-journal events and
-  post-build load records against them (journal-replay parity: after a
-  delta the replica's generation and ``schema_hash()`` equal the
-  engine's); ``CheckRequest`` re-checks a method slice against the warm
-  replicas — no rebuild, which is what makes a post-migration
-  ``recheck_dirty`` round cheap at ``workers > 1``.  The loop also serves
-  plain :class:`ShardTask` messages, so a session worker can stand in for
-  a cold fleet worker.
+:func:`session_main` is a stateful dispatch loop over a pipe, keyed by
+session id.  ``AttachUniverse`` builds live label universes once;
+``SessionDelta`` replays schema-journal events and post-build load
+records against them (journal-replay parity: after a delta the replica's
+generation and ``schema_hash()`` equal the engine's); ``CheckRequest``
+checks a method slice against the warm replicas — no rebuild — and ships
+back picklable verdicts together with the dependency footprints the
+checker recorded, so the engine can back-feed its incremental dependency
+graph.
 """
 
 from __future__ import annotations
@@ -48,7 +36,6 @@ from repro.parallel.protocol import (
     SessionDelta,
     SessionError,
     ShardResult,
-    ShardTask,
     Shutdown,
     encode_error,
 )
@@ -61,8 +48,8 @@ def _trace_begin(message) -> int | None:
     Workers are spawned, so they inherit the *environment* but not the
     parent's flag — each request re-derives the state from its ``trace``
     field (the engine stamps it with its own flag) or ``REPRO_TRACE``.
-    The mark keeps an in-process call (``workers == 1`` fallback) from
-    draining spans the caller recorded before this request.
+    The mark confines the reply to this request's spans, even in a
+    process whose buffer already holds spans recorded before it.
 
     The provenance flag is re-derived the same way (``provenance`` field /
     ``REPRO_PROVENANCE``), so per-verdict attribution in
@@ -83,126 +70,6 @@ def _trace_end(reply, mark: int | None):
 
 
 # ---------------------------------------------------------------------------
-# warm replica catalog: cold builds seed later rounds and session attaches
-# ---------------------------------------------------------------------------
-
-#: label universes built pristine by cold shards / prebuild tasks, kept for
-#: reuse by later shards and *taken* by session attaches in this process —
-#: the cold fleet and the warm sessions build the same apps, so one replica
-#: set serves both.  Keyed by (label, backend name, interp mode, membership
-#: mode): the env axes change checking behaviour, and a replica must never
-#: cross them.
-_WARM_CATALOG: dict[tuple, object] = {}
-
-#: catalog participation is opt-in per process: only session workers flip
-#: this on (in :func:`session_main`).  The parent process also runs
-#: :func:`run_shard` in-process (``workers == 1`` fallback paths), where a
-#: process-lifetime universe cache would leak state across independent
-#: engines and tests.
-_CATALOG_ENABLED = [False]
-
-
-def _catalog_key(label: str, backend: str | None) -> tuple:
-    from repro.db.backends import default_backend_name
-
-    return (
-        label,
-        backend or default_backend_name(),
-        os.environ.get("REPRO_INTERP", "") or "compiled",
-        os.environ.get("REPRO_MEMBERSHIP", "") or "compiled",
-    )
-
-
-def _catalog_reusable(rdl) -> bool:
-    """Only pristine replicas may be shared: same guard family as the
-    engine's attach path (generation == pristine, epoch 1, no post-build
-    definitions or loads)."""
-    return (
-        getattr(rdl, "pristine_generation", None) == rdl.db.version
-        and getattr(rdl, "pristine_epoch", 0) == 1
-        and not getattr(rdl, "post_build_methods", None)
-        and not getattr(rdl, "post_build_loads", None)
-    )
-
-
-def _catalog_peek(label: str, backend: str | None):
-    """A cataloged pristine replica for reuse in place, or ``None``."""
-    if not _CATALOG_ENABLED[0]:
-        return None
-    key = _catalog_key(label, backend)
-    rdl = _WARM_CATALOG.get(key)
-    if rdl is None:
-        return None
-    if not _catalog_reusable(rdl):
-        del _WARM_CATALOG[key]  # diverged somehow: never serve it again
-        return None
-    obs_spans.bump("sessions.catalog_hits")
-    return rdl
-
-
-def _catalog_take(label: str, backend: str | None):
-    """Remove and return a cataloged pristine replica (session attaches
-    mutate their replicas via deltas, so adoption is exclusive)."""
-    rdl = _catalog_peek(label, backend)
-    if rdl is not None:
-        del _WARM_CATALOG[_catalog_key(label, backend)]
-    return rdl
-
-
-def _catalog_put(label: str, backend: str | None, rdl) -> None:
-    if _CATALOG_ENABLED[0] and _catalog_reusable(rdl):
-        _WARM_CATALOG[_catalog_key(label, backend)] = rdl
-
-
-def warm_up(token: int = 0) -> int:
-    """Force the child to import and exercise the full checking stack (one
-    throwaway app build + check), so the first real shard measures checking
-    rather than one-time module-import and code-warm-up latency."""
-    from repro.apps import all_apps
-
-    app = min(all_apps(), key=lambda a: a.source_loc())
-    rdl = app.build()
-    rdl.check(app.label)
-    # warm-up work is deliberately untraced: drop anything recorded (an
-    # inherited REPRO_TRACE enables spans before the first real request)
-    obs_spans.drain(0)
-    # linger briefly: the pool feeds tasks from one shared queue, and
-    # without overlap a fast first worker could swallow several warm-up
-    # tokens while its siblings are still spawning (leaving them cold)
-    time.sleep(0.2)
-    return token
-
-
-def run_shard(task: ShardTask) -> ShardResult:
-    """Check one shard and return its verdicts (the spawn entry point)."""
-    from repro.apps import app_for_label
-
-    trace_mark = _trace_begin(task)
-    result = ShardResult(shard_id=task.shard_id, pid=os.getpid())
-    universes: dict[str, object] = {}
-
-    def resolve(label: str):
-        rdl = universes.get(label)
-        if rdl is None:
-            build_start = time.perf_counter()
-            rdl = _catalog_peek(label, task.backend)
-            if rdl is None:
-                rdl = app_for_label(label).build(backend=task.backend)
-                _catalog_put(label, task.backend, rdl)
-            result.build_s[label] = time.perf_counter() - build_start
-            result.db_versions[label] = rdl.db.version
-            universes[label] = rdl
-        return rdl
-
-    with obs_spans.span("shard.run", label=f"shard{task.shard_id}") as sp:
-        sp.set("methods", len(task.specs))
-        for label in getattr(task, "prebuild", ()):
-            resolve(label)
-        check_specs_into(result, resolve, task.specs)
-    return _trace_end(result, trace_mark)
-
-
-# ---------------------------------------------------------------------------
 # session service: a stateful dispatch loop keyed by session id
 # ---------------------------------------------------------------------------
 
@@ -216,10 +83,6 @@ def session_main(conn) -> None:
     :class:`Shutdown`, a closed pipe, or a dead parent.
     """
     sessions: dict[str, dict[str, object]] = {}
-    # session workers are long-lived, single-session-at-a-time processes:
-    # the warm replica catalog is safe (and is the whole point — a cold
-    # shard's builds seed the next attach)
-    _CATALOG_ENABLED[0] = True
     # spawn children inherit env, not the parent's cells: re-arm any
     # injected faults published through REPRO_FAULTS (fuzz harness)
     obs_faults.load_env()
@@ -260,8 +123,6 @@ def _serve(sessions: dict, message):
     if isinstance(message, DetachSession):
         sessions.pop(message.session_id, None)
         return DetachAck(session_id=message.session_id)
-    if isinstance(message, ShardTask):
-        return run_shard(message)  # the one-shot vocabulary still works
     raise TypeError(f"unknown session message {type(message).__name__}")
 
 
@@ -275,13 +136,7 @@ def _attach(sessions: dict, message: AttachUniverse) -> AttachAck:
         sp.set("labels", len(message.labels))
         for label in message.labels:
             build_start = time.perf_counter()
-            # adopt a cataloged pristine replica when one exists (built by
-            # an earlier cold shard or prebuild in this process) — the ack
-            # still reports its generation, so the engine's pristine
-            # assertion guards the reuse exactly like a fresh build
-            rdl = _catalog_take(label, message.backend)
-            if rdl is None:
-                rdl = app_for_label(label).build(backend=message.backend)
+            rdl = app_for_label(label).build(backend=message.backend)
             ack.build_s[label] = time.perf_counter() - build_start
             ack.generations[label] = rdl.db.version
             replicas[label] = rdl
@@ -342,7 +197,6 @@ def _check_session(sessions: dict, message: CheckRequest) -> ShardResult:
         if rdl is None:
             raise KeyError(f"session {message.session_id!r} has no replica "
                            f"for label {label!r}")
-        result.db_versions[label] = rdl.db.version
         return rdl
 
     with obs_spans.span("session.check", label=message.session_id) as sp:

@@ -200,16 +200,28 @@ def test_combined_apps_identical_verdicts_across_backends():
     assert _combined_report("memory") == _combined_report("sqlite")
 
 
+def _fleet_report(backend: str, workers: int):
+    """``_combined_report`` with every app checked on one shared fleet of
+    ``workers`` warm session workers."""
+    from repro.apps import all_apps
+    from repro.parallel import ParallelCheckEngine
+
+    methods, errors = [], []
+    with ParallelCheckEngine(workers=workers) as engine:
+        for app in all_apps():
+            report = engine.check_all(app.build(backend=backend), app.label)
+            assert engine.last_warm_run.remote, app.name
+            methods.extend(report.checked_methods)
+            errors.extend(str(e) for e in report.errors)
+    return methods, errors
+
+
 @pytest.mark.slow
 def test_combined_apps_identical_verdicts_with_worker_fleet():
-    from repro.parallel import check_fleet
-    from repro.apps import all_apps
-
-    labels = [app.label for app in all_apps()]
-    memory = check_fleet(labels, workers=4, backend="memory")
-    sqlite = check_fleet(labels, workers=4, backend="sqlite")
-    assert _report_key(memory.report) == _report_key(sqlite.report)
-    assert len(memory.report.checked_methods) > 0
+    memory = _fleet_report("memory", workers=4)
+    assert memory == _fleet_report("sqlite", workers=4)
+    assert memory == _combined_report("memory")
+    assert len(memory[0]) > 0
 
 
 @pytest.mark.slow

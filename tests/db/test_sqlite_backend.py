@@ -160,8 +160,9 @@ class TestWorkerSafety:
         with pytest.raises(TypeError, match="reopen"):
             pickle.dumps(db.backend)
 
-    def test_shard_tasks_carry_the_backend_name(self):
-        from repro.parallel.protocol import ShardTask
+    def test_attach_messages_carry_the_backend_name(self):
+        from repro.parallel.protocol import AttachUniverse
 
-        task = ShardTask(shard_id=0, specs=(), backend="sqlite")
-        assert pickle.loads(pickle.dumps(task)).backend == "sqlite"
+        attach = AttachUniverse(session_id="s", labels=("huginn",),
+                                backend="sqlite")
+        assert pickle.loads(pickle.dumps(attach)).backend == "sqlite"

@@ -17,7 +17,7 @@ STATS_KEYS = {
     "methods.reuse_rate", "methods.checked_parallel",
     "schema.events",
     "fleet.shards", "fleet.rounds",
-    "planner.split_bias", "planner.cost_model_size",
+    "planner.cost_model_size",
     "warm.retries", "warm.fallbacks",
 }
 
@@ -31,7 +31,6 @@ def test_snapshot_reflects_counters_and_extra_mapping():
     stats = IncrementalStats(comp_hits=3, comp_misses=1, methods_checked=4,
                              methods_skipped=12)
     stats.extra["warm_worker_retries"] = 2
-    stats.extra["split_bias"] = 1.5
     stats.extra["unmapped_thing"] = 9
     snap = stats.snapshot()
     assert snap["comp_cache.hits"] == 3
@@ -39,7 +38,6 @@ def test_snapshot_reflects_counters_and_extra_mapping():
     assert snap["methods.reuse_rate"] == 0.75
     # free-form extras land under their mapped stable names...
     assert snap["warm.retries"] == 2
-    assert snap["planner.split_bias"] == 1.5
     # ...and unknown ones are preserved, not dropped
     assert snap["extra.unmapped_thing"] == 9
 
@@ -100,16 +98,16 @@ def test_metrics_snapshot_reports_provenance_state():
 def test_metrics_diff_subtracts_numeric_keys():
     before = {"comp_cache.hits": 10, "comp_cache.misses": 4,
               "methods.checked": 7, "obs.enabled": False,
-              "planner.split_bias": 1.25}
+              "comp_cache.hit_rate": 0.25}
     after = {"comp_cache.hits": 25, "comp_cache.misses": 4,
              "methods.checked": 9, "obs.enabled": True,
-             "planner.split_bias": 1.5}
+             "comp_cache.hit_rate": 0.5}
     diff = obs.metrics_diff(before, after)
     assert diff["comp_cache.hits"] == 15
     assert diff["methods.checked"] == 2
     # unchanged keys are omitted — a diff reads as "what moved"
     assert "comp_cache.misses" not in diff
-    assert diff["planner.split_bias"] == 0.25
+    assert diff["comp_cache.hit_rate"] == 0.25
     # non-numeric changes report the after value
     assert diff["obs.enabled"] is True
 

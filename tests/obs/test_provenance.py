@@ -3,8 +3,9 @@
 Three contracts matter.  First, *path parity*: the production-path-
 independent part of an ``explain()`` answer — verdict, dependency
 footprint, generation, staleness, dirtying events, flip structure — must be
-identical whether a verdict came from a serial in-process check, a cold
-worker fleet, or a warm session round, on either storage backend (who
+identical whether a verdict came from a serial in-process check, a
+parallel ``check_all(workers=N)``, or a warm recheck round, on either
+storage backend (who
 produced it and how warm its caches were legitimately differ, and
 :func:`parity_view` excludes exactly that).  Second, flip history must name
 the journal event that dirtied the flipped verdict.  Third, disabled mode
@@ -61,6 +62,9 @@ def test_explain_parity_across_production_paths(backend):
     fleet = _build_checked(backend, workers=WORKERS)
     warm = _build_checked(backend)
     try:
+        # the fleet twin's cold check ran on session workers
+        assert fleet.warm_engine.last_warm_run.remote
+        assert _producer_kinds(fleet) == {"warm"}
         # the same destructive migration on all three twins; serial and
         # fleet re-verify in-process, warm across live session workers
         for rdl in (serial, fleet, warm):
@@ -72,7 +76,7 @@ def test_explain_parity_across_production_paths(backend):
 
         # each universe exercised the production path it is named for
         assert _producer_kinds(serial) == {"fresh"}
-        assert "fleet" in _producer_kinds(fleet)
+        assert "warm" in _producer_kinds(fleet)
         assert "warm" in _producer_kinds(warm)
 
         v_serial, v_fleet, v_warm = _views(serial), _views(fleet), _views(warm)
@@ -82,6 +86,7 @@ def test_explain_parity_across_production_paths(backend):
         # the migration flipped at least one verdict identically everywhere
         assert any(view["flips"] for view in v_serial.values())
     finally:
+        fleet.shutdown_warm()
         warm.shutdown_warm()
 
 
@@ -155,7 +160,7 @@ def test_stale_verdict_reports_its_dirtying_events():
 # ---------------------------------------------------------------------------
 
 def test_disabled_mode_records_nothing_and_ships_no_payload():
-    from repro.parallel.protocol import MethodSpec, ShardResult, ShardTask
+    from repro.parallel.protocol import CheckRequest, MethodSpec, ShardResult
     from repro.parallel.worker import check_specs_into
 
     assert not provenance.enabled()
@@ -166,7 +171,7 @@ def test_disabled_mode_records_nothing_and_ships_no_payload():
     assert len(rdl.incremental.provenance) == 0
     assert provenance.recorded() == 0
     # protocol defaults carry no provenance
-    assert ShardTask(shard_id=0, specs=()).provenance is False
+    assert CheckRequest(session_id="s", shard_id=0).provenance is False
     # and the worker checking loop leaves every verdict's payload at None
     key = sorted(rdl.incremental.results, key=str)[0]
     spec = MethodSpec(label=LABEL, class_name=key.class_name,

@@ -8,8 +8,8 @@ messages carry nothing — the empty defaults, no span attributes.
 import os
 
 from repro import obs
-from repro.parallel import check_fleet
-from repro.parallel.protocol import ShardResult, ShardTask
+from repro.apps import app_for_label
+from repro.parallel.protocol import CheckRequest, ShardResult
 from repro.parallel.worker import _trace_begin, _trace_end
 from repro.runtime.compile import inline_cache_stats
 from repro.runtime.interp import Interp
@@ -44,15 +44,15 @@ def test_traced_request_ships_only_its_own_window():
     with obs.span("inside"):
         pass
     _trace_end(reply, mark)
-    # the reply carries the request's spans; an in-process caller's earlier
-    # spans stay in the local buffer (workers == 1 runs share the process)
+    # the reply carries the request's spans; spans recorded before the
+    # request stay in the local buffer
     assert [e["name"] for e in reply.spans] == ["inside"]
     assert [e["name"] for e in obs.events()] == ["pre-existing"]
 
 
 def test_protocol_messages_default_to_untraced():
-    task = ShardTask(shard_id=0, specs=())
-    assert task.trace is False
+    request = CheckRequest(session_id="s", shard_id=0)
+    assert request.trace is False
     assert ShardResult(shard_id=0).spans == ()
 
 
@@ -61,30 +61,35 @@ def test_protocol_messages_default_to_untraced():
 # ---------------------------------------------------------------------------
 
 def test_fleet_check_collects_spans_from_distinct_worker_pids():
-    from repro.apps import all_apps
-
     obs.enable()
-    # one label plans into a single shard (which runs in-process); the full
-    # app set splits across both workers, so spans arrive from two pids
-    run = check_fleet([app.label for app in all_apps()], workers=2)
-    assert run.report.checked_methods
+    # the label's methods split into one shard per worker, so the shard
+    # checks arrive from two pids
+    rdl = app_for_label(LABEL).build()
+    try:
+        report = rdl.check_all(LABEL, workers=2)
+    finally:
+        rdl.shutdown_warm()
+    assert report.checked_methods
     events = obs.events()
-    worker_pids = {e["pid"] for e in events} - {os.getpid()}
-    assert len(worker_pids) >= 2, (
-        f"expected spans from >= 2 worker processes, got {worker_pids}")
-    # the shard execution spans themselves were recorded worker-side
-    shard_pids = {e["pid"] for e in events if e["name"] == "shard.run"}
-    assert shard_pids and os.getpid() not in shard_pids
+    # the shard checks themselves were recorded worker-side
+    check_pids = {e["pid"] for e in events if e["name"] == "session.check"}
+    assert len(check_pids) >= 2, (
+        f"expected session.check spans from >= 2 workers, got {check_pids}")
+    assert os.getpid() not in check_pids
     # engine-side phases frame them on the same timeline
     names = {e["name"] for e in events}
-    assert "fleet.round" in names
-    assert "fleet.merge" in names
+    assert {"warm.round", "session.sync", "fleet.plan_shards"} <= names
 
 
 def test_fleet_check_disabled_emits_zero_events():
     assert not obs.enabled()
-    run = check_fleet([LABEL], workers=2)
-    assert run.report.checked_methods
+    rdl = app_for_label(LABEL).build()
+    try:
+        report = rdl.check_all(LABEL, workers=2)
+        assert rdl.warm_engine.last_warm_run.remote
+    finally:
+        rdl.shutdown_warm()
+    assert report.checked_methods
     assert obs.events() == []
     assert obs.buffered() == 0
     assert obs.counters() == {}

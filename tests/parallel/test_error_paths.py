@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.apps import app_for_label
+from repro.parallel import sessions
 from repro.parallel.protocol import AttachUniverse, CheckRequest
 from repro.parallel.sessions import (
     SessionRequestFailed,
@@ -114,3 +115,32 @@ def test_all_workers_dead_falls_back_to_serial(monkeypatch):
     assert list(report.checked_methods) == list(baseline.checked_methods)
     assert [str(e) for e in report.errors] == \
         [str(e) for e in baseline.errors]
+
+
+@pytest.fixture()
+def no_process_deadline():
+    """The process default as REPRO_SESSION_DEADLINE_S=0 sets it."""
+    saved = sessions.DEADLINE_S[0]
+    sessions.DEADLINE_S[0] = 0.0
+    yield
+    sessions.DEADLINE_S[0] = saved
+
+
+def test_disabled_process_deadline_lets_cold_attaches_wait(
+        no_process_deadline):
+    # a disabled process default means replies may take as long as they
+    # take.  An engine's tight per-request deadline must not turn that into
+    # a limit on cold attaches (spawn + full app build), or every attach is
+    # killed as wedged and, after the retry budget, the round falls back
+    # to serial for good
+    rdl = app_for_label("huginn").build(backend="memory")
+    serial = app_for_label("huginn").build(backend="memory")
+    rdl.warm_deadline_s = 0.1
+    try:
+        report = rdl.check_all("huginn", workers=2)
+        run = rdl.warm_engine.last_warm_run
+    finally:
+        rdl.shutdown_warm()
+    assert run.remote, run.fallback_reason
+    assert list(report.checked_methods) == \
+        list(serial.check_all("huginn").checked_methods)

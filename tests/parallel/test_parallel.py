@@ -1,20 +1,15 @@
-"""Integration tests: fleet checking, verdict-parity merge, incremental
-back-feed.  Most tests drive the worker protocol in-process (the protocol is
-plain functions); one test exercises real spawn workers end to end.
+"""Integration tests: ``check_all(workers=N)`` on warm session workers.
+
+Every report is compared against a serial twin; the parallel check must
+also leave the incremental engine exactly as a serial check would, so a
+later ``recheck_dirty`` (serial or warm) behaves identically.
 """
 
 import pytest
 
+from repro import obs
 from repro.apps import all_apps, app_for_label
-from repro.parallel import (
-    MethodSpec,
-    ParallelCheckEngine,
-    ShardGapError,
-    ShardTask,
-    merge_report,
-    specs_for_labels,
-)
-from repro.parallel.worker import run_shard
+from repro.parallel import ParallelCheckEngine
 
 APPS = {app.label: app for app in all_apps()}
 
@@ -24,6 +19,17 @@ def _serial_key(report):
             report.casts_used, report.oracle_casts)
 
 
+@pytest.fixture()
+def traced():
+    """Tracing on with empty buffers and counters; restored afterwards."""
+    was_enabled = obs.enabled()
+    obs.reset()
+    obs.enable()
+    yield
+    obs.reset()
+    obs.set_enabled(was_enabled)
+
+
 def test_app_for_label_resolves_and_rejects():
     assert app_for_label("huginn").label == "huginn"
     assert app_for_label(":huginn").label == "huginn"
@@ -31,139 +37,122 @@ def test_app_for_label_resolves_and_rejects():
         app_for_label("nonesuch")
 
 
-# ---------------------------------------------------------------------------
-# worker protocol + merge, in-process
-# ---------------------------------------------------------------------------
-
-def test_run_shard_matches_serial_verdicts():
-    app = APPS["journey"]
-    rdl = app.build()
-    serial = rdl.check(app.label)
-    specs = specs_for_labels([app.label], lambda _l: rdl.registry)
-    result = run_shard(ShardTask(shard_id=0, specs=tuple(specs)))
-    report = merge_report(specs, [result])
-    assert _serial_key(report) == _serial_key(serial)
-    # dependency footprints travel with the verdicts
-    assert any(v.deps is not None and v.deps.tables for v in result.verdicts)
-
-
-def test_merge_is_arrival_order_independent():
-    app = APPS["huginn"]
-    rdl = app.build()
-    specs = specs_for_labels([app.label], lambda _l: rdl.registry)
-    half = len(specs) // 2
-    first = run_shard(ShardTask(shard_id=0, specs=tuple(specs[:half])))
-    second = run_shard(ShardTask(shard_id=1, specs=tuple(specs[half:])))
-    forward = merge_report(specs, [first, second])
-    backward = merge_report(specs, [second, first])
-    assert _serial_key(forward) == _serial_key(backward)
-    assert forward.checked_methods == [spec.desc for spec in specs]
-
-
-def test_merge_refuses_missing_verdicts():
-    app = APPS["huginn"]
-    rdl = app.build()
-    specs = specs_for_labels([app.label], lambda _l: rdl.registry)
-    partial = run_shard(ShardTask(shard_id=0, specs=tuple(specs[:2])))
-    with pytest.raises(ShardGapError):
-        merge_report(specs, [partial])
-
-
-def test_fleet_engine_in_process_matches_serial():
-    labels = ["twitter", "huginn"]
-    serial_methods, serial_errors = [], []
-    for label in labels:
-        report = APPS[label].build().check(label)
-        serial_methods.extend(report.checked_methods)
-        serial_errors.extend(str(e) for e in report.errors)
-    with ParallelCheckEngine(workers=1) as engine:
-        run = engine.check_labels(labels)
-    assert run.report.checked_methods == serial_methods
-    assert [str(e) for e in run.report.errors] == serial_errors
-    # observed costs flow back into the engine's planner model
-    assert engine.stats.method_costs
-    assert engine.build_costs.keys() >= set(labels)
-
-
-# ---------------------------------------------------------------------------
-# real spawn workers end to end
-# ---------------------------------------------------------------------------
-
 def test_check_all_with_workers_matches_serial_and_feeds_incremental():
     app = APPS["huginn"]
     rdl = app.build()
-    report = rdl.check_all(app.label, workers=2)
+    try:
+        report = rdl.check_all(app.label, workers=2)
+        assert rdl.warm_engine.last_warm_run.remote
 
-    serial = app.build().check(app.label)
-    assert _serial_key(report) == _serial_key(serial)
+        serial = app.build().check(app.label)
+        assert _serial_key(report) == _serial_key(serial)
 
-    # the parallel cold check must leave the incremental engine fully
-    # populated: a migration dirties only dependents, and recheck_dirty
-    # stays verdict-for-verdict equal to a fresh full check
-    stats = rdl.incremental_stats
-    assert stats.methods_checked_parallel == len(serial.checked_methods)
-    assert stats.parallel_shards >= 1
-    assert not rdl.incremental.dirty
+        # the parallel check must leave the incremental engine fully
+        # populated: every verdict came from a worker, with the dependency
+        # footprint the worker's checker recorded
+        stats = rdl.incremental_stats
+        assert stats.methods_checked_parallel == len(serial.checked_methods)
+        assert stats.methods_checked == 0
+        assert stats.parallel_shards >= 1
+        assert not rdl.incremental.dirty
+        tracker = rdl.incremental.tracker
+        assert any(tracker.deps_of(key) is not None
+                   and tracker.deps_of(key).tables
+                   for key in rdl.incremental.results)
 
-    table = next(iter(rdl.db.tables))
-    rdl.db.add_column(table, "parallel_migration_col", "string")
-    incremental = rdl.recheck_dirty()
+        # a migration dirties only dependents, and recheck_dirty stays
+        # verdict-for-verdict equal to a fresh full check
+        table = next(iter(rdl.db.tables))
+        rdl.db.add_column(table, "parallel_migration_col", "string")
+        incremental = rdl.recheck_dirty()
 
-    fresh = app.build()
-    fresh.db.add_column(table, "parallel_migration_col", "string")
-    full = fresh.check(app.label)
-    assert sorted(str(e) for e in incremental.errors) == \
-        sorted(str(e) for e in full.errors)
-    assert sorted(incremental.checked_methods) == \
-        sorted(full.checked_methods)
+        fresh = app.build()
+        fresh.db.add_column(table, "parallel_migration_col", "string")
+        full = fresh.check(app.label)
+        assert sorted(str(e) for e in incremental.errors) == \
+            sorted(str(e) for e in full.errors)
+        assert sorted(incremental.checked_methods) == \
+            sorted(full.checked_methods)
+    finally:
+        rdl.shutdown_warm()
 
 
-def test_check_all_workers_rejects_unknown_labels():
+def test_shared_engine_checks_several_universes_like_serial():
+    # one fleet serves one universe after another: each check_all
+    # re-attaches, and the engine's cost model learns from every round
+    with ParallelCheckEngine(workers=2) as engine:
+        for label in ("twitter", "huginn"):
+            rdl = APPS[label].build()
+            report = engine.check_all(rdl, label)
+            serial = APPS[label].build().check(label)
+            assert _serial_key(report) == _serial_key(serial)
+            assert engine.last_warm_run.remote
+            # observed costs flow back into the universe's planner model
+            assert rdl.incremental_stats.method_costs
+
+
+def test_check_all_workers_rejects_unknown_labels(traced):
+    # a label without a subject app cannot be replicated on a worker: the
+    # fleet rejects it before spawning anything, and the check runs on
+    # the serial path — same report, with the reason on record
     from repro import CompRDL
 
-    rdl = CompRDL()
-    rdl.load("""
+    source = """
 class C
   type :m, "() -> nil", typecheck: :unknown_fleet_label
   def m()
     nil
   end
 end
-""")
-    with pytest.raises(KeyError):
-        rdl.check_all("unknown_fleet_label", workers=2)
-    # the serial path still accepts arbitrary labels
-    assert rdl.check_all("unknown_fleet_label").ok()
+"""
+    rdl = CompRDL()
+    rdl.load(source)
+    serial = CompRDL()
+    serial.load(source)
+    report = rdl.check_all("unknown_fleet_label", workers=2)
+    assert _serial_key(report) == \
+        _serial_key(serial.check_all("unknown_fleet_label"))
+    assert report.ok()
+    engine = rdl.warm_engine
+    run = engine.last_warm_run
+    assert not run.remote
+    assert "unknown_fleet_label" in run.fallback_reason
+    assert engine._session_pool is None  # no worker was spawned
+    # the fallback is observable: a trace event and a metrics counter
+    fallbacks = [e for e in obs.events() if e["name"] == "warm.fallback"]
+    assert fallbacks and \
+        "unknown_fleet_label" in fallbacks[0]["args"]["reason"]
+    snap = rdl.metrics_snapshot()
+    assert snap["sessions.fallbacks"] == 1
+    assert snap["warm.fallbacks"] == 1
 
 
 def test_methods_loaded_after_build_fall_back_to_serial_verdicts():
-    # a worker rebuilds the *pristine* app, which would not contain this
-    # class (and a redefined helper could silently change any verdict) —
-    # after a post-build load, check_all(workers=N) must produce the same
-    # verdicts as the serial path, including the new method
+    # a worker rebuilds the *pristine* app, which does not contain this
+    # class: the session replays the post-build load on every replica, and
+    # check_all(workers=N) must produce the same verdicts as the serial
+    # path, including the new method
+    probe = """
+class ParallelProbe
+  type :"self.answer", "() -> Integer", typecheck: :huginn
+  def self.answer()
+    42
+  end
+end
+"""
     app = APPS["huginn"]
     rdl = app.build()
-    rdl.load("""
-class ParallelProbe
-  type :"self.answer", "() -> Integer", typecheck: :huginn
-  def self.answer()
-    42
-  end
-end
-""")
+    rdl.load(probe)
     serial = app.build()
-    serial.load("""
-class ParallelProbe
-  type :"self.answer", "() -> Integer", typecheck: :huginn
-  def self.answer()
-    42
-  end
-end
-""")
-    serial_report = serial.check(app.label)
-    report = rdl.check_all(app.label, workers=2)
-    assert _serial_key(report) == _serial_key(serial_report)
-    assert "ParallelProbe.answer" in report.checked_methods
+    serial.load(probe)
+    try:
+        serial_report = serial.check(app.label)
+        report = rdl.check_all(app.label, workers=2)
+        assert _serial_key(report) == _serial_key(serial_report)
+        assert "ParallelProbe.answer" in report.checked_methods
+        assert rdl.warm_engine.last_warm_run.remote
+    finally:
+        rdl.shutdown_warm()
 
 
 def test_duplicate_label_annotations_register_one_method_entry():
@@ -180,20 +169,46 @@ def test_duplicate_label_annotations_register_one_method_entry():
 
 
 def test_post_build_migration_verdicts_match_the_live_universe():
-    # workers check the *pristine* app, but the parent mutated its schema
-    # after build: the affected methods must be re-resolved against the
-    # live universe before the report is returned
+    # workers build the *pristine* app, but the parent mutated its schema
+    # after build: the session replays the journal delta before checking,
+    # so the report matches the live universe, not the pristine one
     app = APPS["discourse"]
     rdl = app.build()
     rdl.db.drop_column("users", "username")
-    report = rdl.check_all(app.label, workers=2)
+    try:
+        report = rdl.check_all(app.label, workers=2)
+        assert rdl.warm_engine.last_warm_run.remote
 
+        serial = app.build()
+        serial.db.drop_column("users", "username")
+        serial_report = serial.check_all(app.label)
+        assert _serial_key(report) == _serial_key(serial_report)
+        assert not report.ok()  # the dropped column is a real comp-type error
+        assert not rdl.incremental.dirty  # everything was resolved
+    finally:
+        rdl.shutdown_warm()
+
+
+def test_check_all_then_recheck_dirty_reuses_the_session(attach_log):
+    # check_all(workers=N) leaves the session attached: the migrate →
+    # recheck round that follows ships a journal delta, never an attach
+    app = APPS["discourse"]
+    rdl = app.build()
     serial = app.build()
-    serial.db.drop_column("users", "username")
-    serial_report = serial.check_all(app.label)
-    assert _serial_key(report) == _serial_key(serial_report)
-    assert not report.ok()  # the dropped column is a real comp-type error
-    assert not rdl.incremental.dirty  # everything was resolved
+    try:
+        assert _serial_key(rdl.check_all(app.label, workers=2)) == \
+            _serial_key(serial.check_all(app.label))
+        assert attach_log  # the cold check attached the workers
+        attaches = len(attach_log)
+
+        rdl.db.drop_column("users", "username")
+        serial.db.drop_column("users", "username")
+        report = rdl.recheck_dirty(workers=2)
+        assert _serial_key(report) == _serial_key(serial.recheck_dirty())
+        assert rdl.warm_engine.last_warm_run.remote
+        assert len(attach_log) == attaches  # zero AttachUniverse messages
+    finally:
+        rdl.shutdown_warm()
 
 
 def test_check_all_scopes_report_to_requested_labels():
@@ -222,3 +237,32 @@ end
     assert rdl.check_all("lb").checked_methods == ["B.two"]
     # recheck_dirty still covers every label checked so far
     assert sorted(rdl.recheck_dirty().checked_methods) == ["A.one", "B.two"]
+
+
+def test_check_all_workers_scopes_report_to_requested_labels():
+    # after a remote check of the app's label, a second label without a
+    # subject app makes the universe unreplicable: that round runs
+    # serially, and its report still covers exactly the requested label
+    app = APPS["huginn"]
+    rdl = app.build()
+    try:
+        first = rdl.check_all(app.label, workers=2)
+        assert rdl.warm_engine.last_warm_run.remote
+        rdl.load("""
+class ScopeProbe
+  type :"self.one", "() -> Integer", typecheck: :scope_probe
+  def self.one()
+    1
+  end
+end
+""")
+        second = rdl.check_all("scope_probe", workers=2)
+        assert second.checked_methods == ["ScopeProbe.one"]
+        run = rdl.warm_engine.last_warm_run
+        assert not run.remote and "scope_probe" in run.fallback_reason
+        # recheck_dirty covers every label checked so far
+        everything = rdl.recheck_dirty(workers=2)
+        assert everything.checked_methods == \
+            first.checked_methods + ["ScopeProbe.one"]
+    finally:
+        rdl.shutdown_warm()

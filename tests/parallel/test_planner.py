@@ -74,24 +74,12 @@ def test_plan_is_deterministic():
     assert [s.specs for s in first] == [s.specs for s in second]
 
 
-def test_labels_stay_together_when_build_cost_dominates():
-    # two cheap-to-check apps, expensive to build: splitting one app across
-    # two shards would double its build, so 4 workers still get 2 shards
-    specs = _specs("a", 6) + _specs("b", 6)
-    shards = plan_shards(specs, workers=4,
-                         build_costs={"a": 10.0, "b": 10.0})
-    assert len(shards) == 2
-    assert sorted(shard.labels[0] for shard in shards) == ["a", "b"]
-    assert all(len(shard.labels) == 1 for shard in shards)
-
-
 def test_heavy_label_splits_across_spare_workers():
     stats = IncrementalStats()
     specs = _specs("hot", 8)
     for spec in specs:
-        stats.method_costs[spec.desc] = 1.0  # checking dwarfs any build
-    shards = plan_shards(specs, workers=4, stats=stats,
-                         build_costs={"hot": 0.01})
+        stats.method_costs[spec.desc] = 1.0
+    shards = plan_shards(specs, workers=4, stats=stats)
     assert len(shards) == 4
     sizes = sorted(len(shard.specs) for shard in shards)
     assert sizes == [2, 2, 2, 2]
@@ -105,7 +93,7 @@ def test_single_worker_gets_everything_in_serial_order():
 
 
 # ---------------------------------------------------------------------------
-# EWMA cost model + imbalance feedback
+# EWMA cost model
 # ---------------------------------------------------------------------------
 
 def test_observe_cost_is_an_ewma_not_last_observation():
@@ -122,55 +110,6 @@ def test_observe_cost_is_an_ewma_not_last_observation():
     for _ in range(30):
         stats.observe_cost("C#m", 0.20)
     assert stats.method_costs["C#m"] == pytest.approx(0.20, rel=1e-3)
-
-
-def test_split_bias_loosens_the_split_threshold():
-    # check/2 (= 0.06) < build (= 0.08): no split at bias 1.0 ...
-    stats = IncrementalStats()
-    specs = _specs("hot", 4)
-    for spec in specs:
-        stats.method_costs[spec.desc] = 0.03
-    build_costs = {"hot": 0.08}
-    assert len(plan_shards(specs, workers=2, stats=stats,
-                           build_costs=build_costs)) == 1
-    # ... but a skew-fed bias of 2 discounts the duplicated build
-    assert len(plan_shards(specs, workers=2, stats=stats,
-                           build_costs=build_costs, split_bias=2.0)) == 2
-
-
-def test_engine_absorbs_shard_imbalance_and_rebalances():
-    from repro.parallel import ParallelCheckEngine
-    from repro.parallel.engine import SPLIT_BIAS_MAX
-    from repro.parallel.protocol import ShardResult
-
-    engine = ParallelCheckEngine(workers=2)
-    stats = engine.stats
-    specs = _specs("hot", 4)
-    for spec in specs:
-        stats.method_costs[spec.desc] = 0.03
-    engine.build_costs["hot"] = 0.08
-    plan = lambda: plan_shards(  # noqa: E731 — the engine's own plan inputs
-        specs, 2, stats=stats, build_costs=engine.build_costs,
-        split_bias=engine.split_bias)
-    assert len(plan()) == 1  # cost model says splitting doesn't pay
-
-    # a skewed round: one shard's CPU dwarfs the other's
-    engine._absorb_costs([
-        ShardResult(shard_id=0, cpu_s=0.40),
-        ShardResult(shard_id=1, cpu_s=0.02),
-    ])
-    assert engine.split_bias > 1.0
-    assert engine.split_bias <= SPLIT_BIAS_MAX
-    assert len(plan()) == 2  # the planner now splits the hot label
-
-    # balanced rounds decay the bias back toward neutral
-    for _ in range(20):
-        engine._absorb_costs([
-            ShardResult(shard_id=0, cpu_s=0.10),
-            ShardResult(shard_id=1, cpu_s=0.10),
-        ])
-    assert engine.split_bias == pytest.approx(1.0)
-    engine.close()
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def _twin_pair(label, backend=None):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_migrate_recheck_parity_with_serial_incremental(backend):
+def test_migrate_recheck_parity_with_serial_incremental(backend, attach_log):
     warm, serial = _twin_pair("discourse", backend=backend)
     try:
         # round 1: a destructive migration (real comp-type errors appear)
@@ -63,6 +63,9 @@ def test_migrate_recheck_parity_with_serial_incremental(backend):
 
         # round 2: the session stays attached — only the journal delta
         # crosses the process boundary, no rebuilds
+        attaches = len(attach_log)
+        assert attaches == WORKERS
+        assert {message.backend for message in attach_log} == {backend}
         warm.db.add_column("users", "username", "string")
         serial.db.add_column("users", "username", "string")
         warm_report = warm.recheck_dirty(workers=WORKERS)
@@ -71,7 +74,7 @@ def test_migrate_recheck_parity_with_serial_incremental(backend):
         assert warm_report.ok()
         run = warm.warm_engine.last_warm_run
         assert run.remote
-        assert all(not r.build_s for r in run.results)  # warm: no rebuilds
+        assert len(attach_log) == attaches  # warm: no rebuilds
     finally:
         warm.shutdown_warm()
 
@@ -109,7 +112,7 @@ def test_new_methods_travel_as_load_records():
 def test_pristine_redefinition_falls_back_to_serial():
     # redefining a method that existed at mark_pristine is the unbounded
     # delta (a redefined type-level helper can change any verdict): the
-    # engine must run the round in-process, mirroring the cold fleet rule
+    # engine must run the round in-process
     warm, serial = _twin_pair("huginn")
     try:
         key = warm.incremental.keys_for(["huginn"])[0]
