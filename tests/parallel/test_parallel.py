@@ -9,7 +9,14 @@ import pytest
 
 from repro import obs
 from repro.apps import all_apps, app_for_label
-from repro.parallel import ParallelCheckEngine
+from repro.parallel import (
+    AttachUniverse,
+    CheckRequest,
+    MethodSpec,
+    ParallelCheckEngine,
+    feed_incremental,
+    worker,
+)
 
 APPS = {app.label: app for app in all_apps()}
 
@@ -35,6 +42,33 @@ def test_app_for_label_resolves_and_rejects():
     assert app_for_label(":huginn").label == "huginn"
     with pytest.raises(KeyError):
         app_for_label("nonesuch")
+
+
+def test_run_shard_matches_serial_verdicts():
+    # one shard served by a session worker's dispatch (in-process): its
+    # adopted verdicts assemble a report equal to a serial check
+    app = APPS["journey"]
+    sessions: dict = {}
+    worker._serve(sessions, AttachUniverse(session_id="s",
+                                           labels=(app.label,)))
+    rdl = app.build()
+    scheduler = rdl.incremental
+    scheduler.labels.append(app.label)
+    keys = scheduler.keys_for([app.label])
+    specs = tuple(MethodSpec(app.label, key.class_name, key.method_name,
+                             key.static) for key in keys)
+    result = worker._serve(sessions, CheckRequest(session_id="s",
+                                                  shard_id=0, specs=specs))
+    assert [v.spec for v in result.verdicts] == list(specs)
+
+    feed_incremental(scheduler, [result], generation=rdl.db.version)
+    report = scheduler.resolve(keys)
+    serial = app.build().check(app.label)
+    assert _serial_key(report) == _serial_key(serial)
+    # every verdict was adopted, none rechecked in-process
+    assert rdl.incremental_stats.methods_checked == 0
+    # dependency footprints travel with the verdicts
+    assert any(v.deps is not None and v.deps.tables for v in result.verdicts)
 
 
 def test_check_all_with_workers_matches_serial_and_feeds_incremental():
