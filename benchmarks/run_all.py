@@ -6,9 +6,8 @@ the per-benchmark JSON lands in an artifact directory for regression
 tracking.  Two benchmark styles are dispatched automatically:
 
 * **script benchmarks** (``bench_incremental``, ``bench_parallel``,
-  ``bench_backends``, ``bench_hotpath``, ``bench_warm``,
-  ``bench_analysis``, ``bench_fuzz``, ``bench_membership``) have a
-  ``main()`` and quick/JSON switches of their own;
+  ``bench_backends``, ``bench_warm``, ``bench_analysis``, ``bench_fuzz``)
+  have a ``main()`` and quick/JSON switches of their own;
 * **pytest benchmarks** (everything else) run under pytest with
   pytest-benchmark forced to one warm-up-free round, writing its own
   ``--benchmark-json``.
@@ -146,9 +145,9 @@ def main() -> int:
         json_path = os.path.join(out, f"{name}.json")
         env_one = env
         if name in ("bench_parallel", "bench_warm", "bench_analysis",
-                    "bench_fuzz", "bench_membership"):
+                    "bench_fuzz"):
             cmd = [sys.executable, path, "--quick", "--json", json_path]
-        elif name in ("bench_incremental", "bench_backends", "bench_hotpath"):
+        elif name in ("bench_incremental", "bench_backends"):
             cmd = [sys.executable, path]
             env_one = dict(env, BENCH_JSON=json_path)
         else:

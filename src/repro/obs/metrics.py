@@ -55,17 +55,15 @@ def metrics_snapshot(*sources) -> dict:
     snap["vm.inline_cache.hit_rate"] = (
         round(ic["hits"] / lookups, 4) if lookups else 0.0)
 
-    from repro.runtime.member_compile import membership_mode, membership_stats
+    from repro.runtime.member_compile import membership_stats
     ms = membership_stats()
     probes = ms["ic_hits"] + ms["ic_misses"]
-    snap["membership.mode"] = membership_mode()
     snap["membership.compiles"] = ms["compiles"]
     snap["membership.pred_cache_hits"] = ms["pred_cache_hits"]
     snap["membership.ic_hits"] = ms["ic_hits"]
     snap["membership.ic_misses"] = ms["ic_misses"]
     snap["membership.ic_hit_rate"] = (
         round(ms["ic_hits"] / probes, 4) if probes else 0.0)
-    snap["membership.structural_calls"] = ms["structural_calls"]
 
     # repro.rtypes.__init__ re-exports the intern *function* under the same
     # name as the submodule, so plain ``import repro.rtypes.intern as ...``

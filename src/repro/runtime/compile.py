@@ -1,30 +1,30 @@
-"""Closure-compilation backend for the mini-Ruby interpreter.
+"""The closure compiler: how the mini-Ruby interpreter runs user code.
 
-The tree walker in :mod:`repro.runtime.interp` re-dispatches on every node
-visit (``getattr(self, f"eval_{type(node).__name__}")``).  This module
-lowers each parsed AST node **once** into a Python closure ``fn(interp,
-frame) -> value``; evaluation is then direct calls through precompiled
-closure trees — no per-node name formatting, no ``getattr``, constant
-literals folded at compile time, and local-variable access resolved to a
-single-dict operation wherever scoping allows (method, class and program
-bodies always run in a parentless :class:`~repro.runtime.interp.Env`, so
-their local reads/writes never need the chain walk; block bodies keep it).
+A tree walker re-dispatches on every node visit (``getattr(self,
+f"eval_{type(node).__name__}")``).  This module instead lowers each parsed
+AST node **once** into a Python closure ``fn(interp, frame) -> value``;
+evaluation is then direct calls through precompiled closure trees — no
+per-node name formatting, no ``getattr``, constant literals folded at
+compile time, and local-variable access resolved to a single-dict
+operation wherever scoping allows (method, class and program bodies always
+run in a parentless :class:`~repro.runtime.interp.Env`, so their local
+reads/writes never need the chain walk; block bodies keep it).
 
 Closures are **interpreter-agnostic**: every bit of dynamic state (class
 tables, registry, dynamic-check table, foreign handlers) is read from the
 ``interp`` argument at run time.  That is what lets compiled code be cached
 on the (parse-cached, process-shared) AST nodes themselves and reused by
-every universe in the process — including universes running in *tree* mode,
-which simply never look at the cache slots.
+every universe in the process.
 
-Semantics are the tree walker's, bit for bit: both backends share
-``call_method``/``_dispatch``/``invoke``, the corelib, the object model and
-the dynamic-check table.  ``_dispatch_cached`` below replicates
-``Interp._dispatch`` and must be kept in sync with it; on top of the
-replica it adds a per-call-site inline cache (receiver Python type +
-method-table epoch + foreign-handler count + owning interpreter) that
-skips the foreign-handler loop and method lookup for monomorphic sites on
-builtin value types.
+Semantics are the reference tree walker's (:mod:`repro.runtime.tree`, a
+test oracle), bit for bit: both share ``call_method``/``_dispatch``, the
+corelib, the object model and the dynamic-check table, and
+``tests/runtime/test_compile_parity.py`` asserts the agreement.
+``_dispatch_cached`` below replicates ``Interp._dispatch`` and must be
+kept in sync with it; on top of the replica it adds a per-call-site inline
+cache (receiver Python type + method-table epoch + foreign-handler count +
+owning interpreter) that skips the foreign-handler loop and method lookup
+for monomorphic sites on builtin value types.
 """
 
 from __future__ import annotations
@@ -88,8 +88,9 @@ def _dispatch_cached(i, recv, name, args, block, line, nid, cache):
     """Checked-call-aware dispatch with a per-call-site inline cache.
 
     With dynamic checks enabled every call goes through ``call_method`` so
-    inserted check specs fire exactly as in tree mode.  Otherwise this is
-    ``Interp._dispatch`` (replicated — keep in sync) plus the inline cache.
+    inserted check specs fire exactly as in the reference walker.
+    Otherwise this is ``Interp._dispatch`` (replicated — keep in sync)
+    plus the inline cache.
     """
     if i.checks_enabled:
         return i.call_method(recv, name, args, block, line, node_id=nid)
@@ -185,7 +186,7 @@ class CompiledMethod:
         return fn
 
     def bind(self, i, receiver, args, block, env: Env) -> None:
-        """Bind ``args``/``block`` into ``env`` (``Interp._bind_params``)."""
+        """Bind ``args``/``block`` into ``env`` (``TreeInterp._bind_params``)."""
         env_vars = env.vars
         names = self._simple_names
         if names is not None:

@@ -27,16 +27,15 @@ Weak updates (§4) are why two compilation regimes exist:
   every call and dispatch children through the child's ``_pred`` slot,
   because ``widen_*``/``promote`` replace child entries with new objects.
 
-``value_has_type`` stays untouched as the reference semantics; set
-``REPRO_MEMBERSHIP=structural`` to route every dynamic check through it
-(mirroring ``REPRO_INTERP=tree``).  Parity between the two paths is
-asserted by ``tests/runtime/test_member_parity.py`` and the fuzz storm's
-fifth invariant.
+Every dynamic check goes through these predicates.  ``value_has_type``
+stays as the reference semantics, a test oracle only: parity between the
+two is asserted by ``tests/runtime/test_member_parity.py`` (which also
+routes whole apps' checks through the walker by monkeypatching
+``repro.comp.checks.predicate_for``) and by the fuzz storm's fifth
+invariant.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.obs.state import ENABLED as _OBS_ON
 from repro.rtypes import (
@@ -58,7 +57,7 @@ from repro.rtypes import (
 )
 from repro.rtypes.intern import try_intern
 from repro.rtypes.kinds import ClassRef, Sym
-from repro.runtime.membership import _nominal_member, value_has_type
+from repro.runtime.membership import _nominal_member
 from repro.runtime.objects import (
     _METHOD_EPOCH,
     RArray,
@@ -79,12 +78,12 @@ _IC_TYPES = frozenset((int, float, RString, RArray, RHash, Sym, RBlock))
 #: distinguishes "not cached" from a cached ``False`` verdict
 _MISS = object()
 
-#: [compiles, predicate-cache shares, nominal IC hits, nominal IC misses,
-#:  structural-mode calls].  Compiles are always counted (rare by design);
-#: the per-check counters only while observability is enabled, so the
-#: disabled fast path stays untouched.  ``obs.metrics_snapshot()`` exports
+#: [compiles, predicate-cache shares, nominal IC hits, nominal IC misses].
+#: Compiles are always counted (rare by design); the per-check counters
+#: only while observability is enabled, so the disabled fast path stays
+#: untouched.  ``obs.metrics_snapshot()`` exports
 #: these as ``membership.*``.
-_STATS = [0, 0, 0, 0, 0]
+_STATS = [0, 0, 0, 0]
 
 
 def membership_stats() -> dict:
@@ -95,37 +94,12 @@ def membership_stats() -> dict:
         "pred_cache_hits": _STATS[1],
         "ic_hits": _STATS[2],
         "ic_misses": _STATS[3],
-        "structural_calls": _STATS[4],
     }
 
 
 def reset_membership_stats() -> None:
     for i in range(len(_STATS)):
         _STATS[i] = 0
-
-
-def membership_mode() -> str:
-    """The active membership backend: ``"compiled"`` (default) or
-    ``"structural"`` (``REPRO_MEMBERSHIP=structural``)."""
-    mode = os.environ.get("REPRO_MEMBERSHIP", "compiled").strip().lower()
-    return "structural" if mode == "structural" else "compiled"
-
-
-def structural_mode() -> bool:
-    return membership_mode() == "structural"
-
-
-def check_member(interp, value: object, rtype: RType) -> bool:
-    """Mode-respecting membership check: the drop-in replacement for
-    ``value_has_type`` at dynamic-check sites."""
-    if structural_mode():
-        if _OBS_ON[0]:
-            _STATS[4] += 1
-        return value_has_type(interp, value, rtype)
-    pred = rtype._pred
-    if pred is None:
-        pred = predicate_for(rtype)
-    return pred(interp, value)
 
 
 def predicate_for(t: RType):

@@ -285,7 +285,8 @@ class RBlock:
     ``compiled`` optionally carries the closure-compiled entry for the body
     (a :class:`repro.runtime.compile.CompiledBlock`, cached on the source
     ``BlockNode`` so every block instance created from one literal shares
-    it); ``None`` means the tree-walking path evaluates ``body``.
+    it); ``None`` means ``Interp.call_block`` compiles ``body`` on first
+    call (the reference tree walker never looks at it).
     """
 
     __slots__ = ("params", "body", "env", "self_obj", "is_lambda", "sym_proc",

@@ -101,7 +101,7 @@ def test_fleet_check_disabled_emits_zero_events():
 
 def test_monomorphic_call_site_reports_hits_after_warmup():
     obs.enable()
-    interp = Interp(mode="compiled")
+    interp = Interp()
     # one monomorphic call site on a cacheable receiver type (RString),
     # executed 30 times: the first fill is a miss, the rest must hit
     interp.run("""
@@ -125,6 +125,6 @@ total
 
 def test_inline_cache_counters_stay_zero_while_disabled():
     assert not obs.enabled()
-    interp = Interp(mode="compiled")
+    interp = Interp()
     interp.run('x = 0\nwhile x < 10\n  x = x + "a".length()\nend\nx')
     assert inline_cache_stats() == {"hits": 0, "misses": 0}

@@ -2,9 +2,8 @@
 
 The acceptance bar is journal-replay parity: a migrate → recheck sequence
 at ``workers > 1`` must produce a report verdict-for-verdict identical to
-the serial incremental path — on both storage backends (parametrized here;
-the CI matrix additionally runs the whole file under both ``REPRO_INTERP``
-modes).  A *serial twin* universe receives the same migrations and loads
+the serial incremental path — on both storage backends (parametrized
+here).  A *serial twin* universe receives the same migrations and loads
 and re-checks in-process; every warm report is compared against it.
 """
 

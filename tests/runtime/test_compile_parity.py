@@ -1,25 +1,35 @@
-"""Differential suite: compiled backend ≡ tree walker, observable-for-observable.
+"""Differential suite: the compiled interpreter ≡ the tree-walking oracle.
 
-Every program below runs once under ``REPRO_INTERP=tree`` and once under
-``REPRO_INTERP=compiled`` (sharing the parse-cached AST, exactly as mixed
-universes do in one process), and the two runs must agree on the result
-value, captured stdout, and any raised error — kind, message and line.
+Every program below runs once on the production :class:`Interp` and once
+on the reference :class:`TreeInterp` (sharing the parse-cached AST,
+exactly as universes do in one process), and the two runs must agree on
+the result value, captured stdout, and any raised error — kind, message
+and line.
 
 The app-level tests then assert the strong contract the closure compiler
-ships under: on the combined subject-app cold check the two backends
-produce identical reports (same method order, same error strings, same cast
-counters), identical per-method dependency footprints for the incremental
-engine, and identical Blame messages from the inserted dynamic checks.
+ships under, with the oracle swapped in for whole universes by
+monkeypatching the name the facade constructs (``repro.api.Interp``): on
+the combined subject-app cold check the two interpreters produce identical
+reports (same method order, same error strings, same cast counters),
+identical per-method dependency footprints for the incremental engine,
+identical test-suite runs under the inserted dynamic checks, and identical
+Blame messages.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.apps import all_apps
 from repro.runtime.errors import Blame, RubyError
 from repro.runtime.interp import Interp
 from repro.runtime.objects import ruby_inspect
+from repro.runtime.tree import TreeInterp
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +289,31 @@ puts 42
 print "no newline"
 nil
 """,
+    "recursion_loops_and_blocks": """
+def fib(n)
+  if n < 2
+    n
+  else
+    fib(n - 1) + fib(n - 2)
+  end
+end
+
+def work(limit)
+  total = 0
+  i = 0
+  while i < limit
+    total = total + i * 2 - 1
+    i = i + 1
+  end
+  xs = [1, 2, 3, 4, 5, 6, 7, 8]
+  squares = xs.map { |x| x * x }
+  picked = squares.select { |s| s % 2 == 0 }
+  label = "sum=#{total}"
+  picked.each { |p| total = total + p }
+  total + label.length + fib(12)
+end
+work(250)
+""",
     "modules": """
 module Helpers
   def self.shout(s)
@@ -303,8 +338,20 @@ recurse(0)
 }
 
 
-def _observe(mode: str, source: str):
-    interp = Interp(mode=mode)
+#: the error each ERROR_CORPUS program must end in, on both interpreters:
+#: (outcome kind, Ruby error class)
+ERROR_EXPECTED = {
+    "no_method_error": ("raised", "NoMethodError"),
+    "undefined_const": ("raised", "NameError"),
+    "uncaught_raise": ("raised", "ArgumentError"),
+    "bad_range": ("ruby_error", "TypeError"),
+    "stack_overflow": ("ruby_error", "SystemStackError"),
+}
+
+INTERPRETERS = {"tree": TreeInterp, "compiled": Interp}
+
+
+def _run_observed(interp: Interp, source: str):
     try:
         result = interp.run(source)
         outcome = ("ok", ruby_inspect(result))
@@ -319,21 +366,49 @@ def _observe(mode: str, source: str):
     return outcome, list(interp.stdout)
 
 
+def _observe(interp_cls, source: str):
+    return _run_observed(interp_cls(), source)
+
+
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_corpus_program_parity(name):
     source = CORPUS[name]
-    tree = _observe("tree", source)
-    compiled = _observe("compiled", source)
+    tree = _observe(TreeInterp, source)
+    compiled = _observe(Interp, source)
     assert compiled == tree
 
 
 @pytest.mark.parametrize("name", list(ERROR_CORPUS))
 def test_corpus_error_parity(name):
     source = ERROR_CORPUS[name]
-    tree = _observe("tree", source)
-    compiled = _observe("compiled", source)
+    tree = _observe(TreeInterp, source)
+    compiled = _observe(Interp, source)
     assert compiled == tree
-    assert tree[0][0] != "ok"  # these programs must fail identically
+    # these programs must fail identically, and with the right error
+    assert tree[0][:2] == ERROR_EXPECTED[name]
+
+
+@pytest.mark.parametrize("backend", list(INTERPRETERS))
+def test_runaway_recursion_is_a_system_stack_error(monkeypatch, backend):
+    """Recursion past the host stack surfaces as Ruby's SystemStackError,
+    leaves no frames behind, and fails the same way on a second run."""
+    interp = INTERPRETERS[backend]()
+    first = _run_observed(interp, ERROR_CORPUS["stack_overflow"])
+    assert first[0][:2] == ("ruby_error", "SystemStackError")
+    assert "stack level too deep" in first[0][2]
+    assert interp.call_depth == 0
+    assert _run_observed(interp, ERROR_CORPUS["stack_overflow"]) == first
+    assert interp.call_depth == 0
+    # the interpreter stays usable afterwards
+    assert _run_observed(interp, "def one\n  1\nend\none")[0] == ("ok", "1")
+    # and the facade surfaces the same Ruby error
+    from repro import CompRDL
+
+    _select(monkeypatch, backend)
+    rdl = CompRDL()
+    with pytest.raises(RubyError, match="SystemStackError"):
+        rdl.run(ERROR_CORPUS["stack_overflow"], checks=True)
+    assert rdl.interp.call_depth == 0
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +424,24 @@ def _report_key(report):
     )
 
 
-def _check_apps(monkeypatch, mode: str):
-    monkeypatch.setenv("REPRO_INTERP", mode)
+def _select(monkeypatch, backend: str) -> None:
+    """Make every universe built from here on run on ``backend``."""
+    monkeypatch.setattr("repro.api.Interp", INTERPRETERS[backend])
+
+
+def _check_apps(monkeypatch, backend: str):
     out = {}
-    for app in all_apps():
-        rdl = app.build()
-        report = rdl.check_all([app.label])
-        deps = {
-            str(key): (sorted(d.tables), sorted(d.columns), sorted(d.comps))
-            for key, d in rdl.checker.engine.deps.method_deps.items()
-        }
-        out[app.name] = (_report_key(report), deps)
+    with monkeypatch.context() as patch:
+        _select(patch, backend)
+        for app in all_apps():
+            rdl = app.build()
+            assert type(rdl.interp) is INTERPRETERS[backend]
+            report = rdl.check_all([app.label])
+            deps = {
+                str(key): (sorted(d.tables), sorted(d.columns), sorted(d.comps))
+                for key, d in rdl.checker.engine.deps.method_deps.items()
+            }
+            out[app.name] = (_report_key(report), deps)
     return out
 
 
@@ -373,25 +455,71 @@ def test_combined_apps_verdict_and_dependency_parity(monkeypatch):
         assert compiled[name][1] == tree[name][1], f"deps diverged: {name}"
 
 
-@pytest.mark.slow
-def test_app_test_suites_run_identically_with_checks(monkeypatch):
-    for mode in ("tree", "compiled"):
-        monkeypatch.setenv("REPRO_INTERP", mode)
+def _run_suites(monkeypatch, backend: str):
+    out = {}
+    with monkeypatch.context() as patch:
+        _select(patch, backend)
         for app in all_apps():
             rdl = app.build()
+            assert type(rdl.interp) is INTERPRETERS[backend]
             rdl.check(app.label)
-            assert rdl.run(app.test_suite, checks=True) is not None, (
-                f"{app.name} dynamic checks failed under {mode}")
+            result = rdl.run(app.test_suite, checks=True)
+            assert result is not None, (
+                f"{app.name} dynamic checks failed under {backend}")
+            out[app.name] = (ruby_inspect(result), list(rdl.stdout))
+    return out
 
 
-def _blame_message(monkeypatch, mode: str) -> str:
+@pytest.mark.slow
+def test_app_test_suites_run_identically_with_checks(monkeypatch):
+    assert _run_suites(monkeypatch, "compiled") == \
+        _run_suites(monkeypatch, "tree")
+
+
+def test_comp_evaluation_parity(monkeypatch):
+    """Type-level code run by the comp engine (§3.2) computes the same
+    type on both interpreters, with fresh bindings defeating the memo."""
+    from repro import CompRDL, Database
+    from repro.rtypes import CompExpr, NominalType, SingletonType
+    from repro.rtypes.kinds import Sym
+
+    code = """
+base = FiniteHash.new({id: Integer, score: Integer, name: String})
+joined = base.merge({owner_id: Integer, body: String})
+wide = joined.merge({rank: Integer, label: String, flag: Integer})
+if t.is_a?(Singleton)
+  Generic.new(Table, wide)
+else
+  Nominal.new(String)
+end
+"""
+    results = {}
+    for backend in INTERPRETERS:
+        with monkeypatch.context() as patch:
+            _select(patch, backend)
+            db = Database()
+            db.create_table("users", username="string", score="integer")
+            engine = CompRDL(db=db).checker.engine
+            comp = CompExpr(code, NominalType("Object"))
+            results[backend] = [
+                engine.evaluate(comp, {"t": binding}).to_s()
+                for binding in (SingletonType(Sym("col0")),
+                                SingletonType(Sym("col1")),
+                                NominalType("Integer"))]
+    assert results["compiled"] == results["tree"]
+    assert "Table" in results["tree"][0]
+
+
+def _blame_message(monkeypatch, backend: str) -> str:
     """Force a §4 consistency Blame and capture its exact message."""
     from repro import CompRDL, Database
 
-    monkeypatch.setenv("REPRO_INTERP", mode)
-    db = Database()
-    db.create_table("users", username="string", staged="boolean")
-    rdl = CompRDL(db=db)
+    with monkeypatch.context() as patch:
+        _select(patch, backend)
+        db = Database()
+        db.create_table("users", username="string", staged="boolean")
+        rdl = CompRDL(db=db)
+    assert type(rdl.interp) is INTERPRETERS[backend]
     rdl.load("""
 class User < ActiveRecord::Base
 end
@@ -420,6 +548,28 @@ def test_blame_messages_identical_across_modes(monkeypatch):
     assert "comp type" in tree
 
 
+def test_production_never_imports_the_oracle():
+    """Building, checking and running every app (dynamic checks on) on the
+    production path must not pull the tree walker in."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    script = """
+import sys
+from repro.apps import all_apps
+for app in all_apps():
+    rdl = app.build()
+    assert rdl.check(app.label) is not None
+    assert rdl.run(app.test_suite, checks=True) is not None
+assert "repro.runtime.tree" not in sys.modules, "oracle imported"
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 def test_discarded_universe_is_collectable_despite_inline_caches():
     """Call-site inline caches live on process-shared (parse-cached) AST
     nodes; they must hold the interpreter AND the resolved methods weakly,
@@ -441,10 +591,9 @@ end
 """)
     assert rdl.run("Greeter.new.hi").val == "hi 1"
     probes = [weakref.ref(rdl.interp)]
-    if rdl.interp.mode == "compiled":
-        # these natives land in the int call-site caches during the run
-        probes.append(weakref.ref(rdl.interp.classes["Integer"].imethods["+"]))
-        probes.append(weakref.ref(rdl.interp.classes["Integer"].imethods["to_s"]))
+    # these natives land in the int call-site caches during the run
+    probes.append(weakref.ref(rdl.interp.classes["Integer"].imethods["+"]))
+    probes.append(weakref.ref(rdl.interp.classes["Integer"].imethods["to_s"]))
     del rdl, db
     gc.collect()
     for probe in probes:

@@ -4,15 +4,15 @@
 this suite is the semantic contract: for every membership constructor,
 every probe value, and every subject app, the compiled predicate must
 produce the verdict (and, at the check-spec layer, the Blame message)
-that ``value_has_type`` produces — under both settings of
-``REPRO_MEMBERSHIP`` — while the inline caches stay invisible across
-universe lifetimes.
+that the reference ``value_has_type`` produces, while the inline caches
+stay invisible across universe lifetimes.  Whole-app runs select the
+reference by monkeypatching the name check specs bind their predicates
+through (``repro.comp.checks.predicate_for``).
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import pickle
 import weakref
 
@@ -20,17 +20,33 @@ import pytest
 
 from repro import CompRDL, Database
 from repro.apps import all_apps
+from repro.comp import checks
 from repro.comp.checks import CheckSpec
 from repro.rtypes import (AnyType, BotType, ConstStringType, FiniteHashType,
                           GenericType, MethodType, NominalType, OptionalArg,
                           SingletonType, TupleType, UnionType, VarType,
                           parse_type, try_intern)
 from repro.runtime.errors import Blame
-from repro.runtime.member_compile import (check_member, membership_mode,
-                                          membership_stats, predicate_for,
+from repro.runtime.member_compile import (membership_stats, predicate_for,
                                           reset_membership_stats)
 from repro.runtime.membership import value_has_type
-from repro.runtime.objects import RArray, RHash, RString, Sym
+from repro.runtime.objects import RArray, RHash, RString, Sym, ruby_inspect
+
+
+def _use_structural_walker(monkeypatch) -> list:
+    """Route every check spec built from here on through ``value_has_type``;
+    returns a one-cell counter of walker calls, so a run can prove the
+    reference actually answered its checks."""
+    calls = [0]
+
+    def reference_predicate(rtype):
+        def walk(interp, value):
+            calls[0] += 1
+            return value_has_type(interp, value, rtype)
+        return walk
+
+    monkeypatch.setattr(checks, "predicate_for", reference_predicate)
+    return calls
 
 
 @pytest.fixture
@@ -48,7 +64,7 @@ end
 def _probe_values(interp):
     return [
         None, True, False, 0, 3, -1, 2.5,
-        RString("hi"), RString(""), Sym("id"), Sym("other"),
+        RString("hi"), RString("bye"), RString(""), Sym("id"), Sym("other"),
         RArray([]), RArray([1, 2]), RArray([1, RString("x")]),
         RHash.from_pairs([]),
         RHash.from_pairs([(Sym("id"), 1), (Sym("username"), RString("u"))]),
@@ -133,17 +149,6 @@ def test_comp_types_membership_parity(universe):
                 value_has_type(interp, value, rtype), rtype.to_s()
 
 
-def test_check_member_respects_mode(universe, monkeypatch):
-    monkeypatch.setenv("REPRO_MEMBERSHIP", "structural")
-    assert membership_mode() == "structural"
-    interp = universe.interp
-    rtype = NominalType("Integer")
-    assert check_member(interp, 3, rtype) is True
-    monkeypatch.delenv("REPRO_MEMBERSHIP")
-    assert membership_mode() == "compiled"
-    assert check_member(interp, 3, rtype) is True
-
-
 # ---------------------------------------------------------------------------
 # canonical union arm order (the interning fix this layer depends on)
 # ---------------------------------------------------------------------------
@@ -185,39 +190,47 @@ def _spec(**overrides) -> CheckSpec:
 
 
 def test_check_spec_binds_predicates_at_construction(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMBERSHIP", raising=False)
     spec = _spec()
-    assert spec._ret_pred is not None
+    assert spec._ret_pred is predicate_for(spec.ret_type)
     assert [expected.to_s() for _pred, expected in spec._arg_plan] == \
         ["String", "Integer or nil"]
-    monkeypatch.setenv("REPRO_MEMBERSHIP", "structural")
-    structural = _spec()
-    assert structural._arg_plan is None
-    assert structural._ret_pred is None
+    # the plan binds through the module-level name, the seam the oracle
+    # (and any instrumentation) rebinds
+    calls = _use_structural_walker(monkeypatch)
+    walked = _spec()
+    universe = CompRDL()
+    assert walked._ret_pred(universe.interp, 3) is True
+    assert calls[0] == 1
 
 
-def test_check_spec_plans_survive_pickling(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMBERSHIP", raising=False)
+def test_check_spec_plans_survive_pickling():
     spec = _spec()
     clone = pickle.loads(pickle.dumps(spec))
     assert clone._ret_pred is not None
     assert len(clone._arg_plan) == 2
+    # the rebound predicates answer exactly like the originals
+    interp = CompRDL().interp
+    for value in _probe_values(interp):
+        assert clone._ret_pred(interp, value) == spec._ret_pred(interp, value)
+        for (mine, _), (theirs, _) in zip(clone._arg_plan, spec._arg_plan):
+            assert mine(interp, value) == theirs(interp, value)
     # closures themselves must never ride the wire
-    assert b"_ret_pred" not in pickle.dumps(spec) or True
     state = spec.__getstate__()
     assert state["_arg_plan"] is None
     assert state["_ret_pred"] is None
 
 
-def _blame_message(monkeypatch, mode: str) -> str:
+def _blame_message(monkeypatch, structural: bool) -> str:
     """The §4 staged-column scenario: checked against a schema with the
     column, run after it is dropped — the guard must Blame identically
-    under both membership backends."""
-    monkeypatch.setenv("REPRO_MEMBERSHIP", mode)
-    db = Database()
-    db.create_table("users", username="string", staged="boolean")
-    rdl = CompRDL(db=db)
-    rdl.load("""
+    with compiled predicates and with the structural walker."""
+    with monkeypatch.context() as patch:
+        if structural:
+            _use_structural_walker(patch)
+        db = Database()
+        db.create_table("users", username="string", staged="boolean")
+        rdl = CompRDL(db=db)
+        rdl.load("""
 class User < ActiveRecord::Base
 end
 
@@ -228,8 +241,8 @@ class Finder
   end
 end
 """)
-    report = rdl.check(":finder")
-    assert report.ok(), report.summary()
+        report = rdl.check(":finder")
+        assert report.ok(), report.summary()
     db.drop_column("users", "staged")
     with pytest.raises(Blame) as blamed:
         rdl.run("Finder.new.find_staged(:staged)", checks=True)
@@ -237,14 +250,14 @@ end
 
 
 def test_blame_messages_identical_across_membership_modes(monkeypatch):
-    structural = _blame_message(monkeypatch, "structural")
-    compiled = _blame_message(monkeypatch, "compiled")
+    structural = _blame_message(monkeypatch, structural=True)
+    compiled = _blame_message(monkeypatch, structural=False)
     assert compiled == structural
     assert "comp type" in structural
 
 
 # ---------------------------------------------------------------------------
-# whole-system parity: every app, both backends, both membership modes
+# whole-system parity: every app, both storage backends, both membership paths
 # ---------------------------------------------------------------------------
 
 def _report_key(report):
@@ -256,12 +269,20 @@ def _report_key(report):
     )
 
 
-def _check_apps(monkeypatch, mode: str, backend: str):
-    monkeypatch.setenv("REPRO_MEMBERSHIP", mode)
+def _check_apps(monkeypatch, structural: bool, backend: str):
+    """Per app: the check report, then the test suite's run under the
+    inserted dynamic checks (where membership actually answers)."""
     out = {}
-    for app in all_apps():
-        rdl = app.build(backend=backend)
-        out[app.name] = _report_key(rdl.check_all([app.label]))
+    with monkeypatch.context() as patch:
+        calls = _use_structural_walker(patch) if structural else None
+        for app in all_apps():
+            rdl = app.build(backend=backend)
+            report = rdl.check_all([app.label])
+            result = rdl.run(app.test_suite, checks=True)
+            out[app.name] = (_report_key(report), ruby_inspect(result),
+                             list(rdl.stdout))
+    if structural:
+        assert calls[0] > 0, "the structural walker answered no check"
     return out
 
 
@@ -269,8 +290,8 @@ def _check_apps(monkeypatch, mode: str, backend: str):
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_combined_apps_verdict_parity_across_membership_modes(
         monkeypatch, backend):
-    structural = _check_apps(monkeypatch, "structural", backend)
-    compiled = _check_apps(monkeypatch, "compiled", backend)
+    structural = _check_apps(monkeypatch, True, backend)
+    compiled = _check_apps(monkeypatch, False, backend)
     assert set(structural) == set(compiled)
     for name in structural:
         assert compiled[name] == structural[name], (
@@ -353,27 +374,11 @@ def test_membership_counters_surface_in_metrics_snapshot():
         assert stats["ic_hits"] >= 1
         assert stats["pred_cache_hits"] >= 1
         snap = metrics_snapshot()
-        assert snap["membership.mode"] == membership_mode()
+        assert "membership.mode" not in snap
+        assert "membership.structural_calls" not in snap
         assert snap["membership.compiles"] >= 1
         assert snap["membership.ic_hits"] >= 1
         assert 0.0 <= snap["membership.ic_hit_rate"] <= 1.0
-    finally:
-        reset_membership_stats()
-        obs.reset()
-        obs.set_enabled(was_enabled)
-
-
-def test_structural_mode_counts_walker_calls(monkeypatch):
-    from repro import obs
-
-    monkeypatch.setenv("REPRO_MEMBERSHIP", "structural")
-    was_enabled = obs.enabled()
-    obs.enable()
-    reset_membership_stats()
-    try:
-        rdl = CompRDL()
-        check_member(rdl.interp, 3, NominalType("Integer"))
-        assert membership_stats()["structural_calls"] >= 1
     finally:
         reset_membership_stats()
         obs.reset()
