@@ -71,14 +71,21 @@ def _children_cpu() -> float:
 def _harvest(json_path: str) -> dict:
     """Pull the trajectory-worthy scalars out of one bench's JSON: any
     numeric/bool leaf (two levels deep) whose dotted key mentions a pass
-    criterion or a timing.  Benchmarks keep their own schemas; the summary
-    only skims them."""
+    criterion or a timing, plus ``<test name>.median_s`` for every entry
+    of pytest-benchmark's ``"benchmarks"`` list.  Benchmarks keep their
+    own schemas; the summary only skims them."""
     try:
         with open(json_path) as handle:
             data = json.load(handle)
     except (OSError, ValueError):
         return {}
     metrics: dict = {}
+    entries = data.get("benchmarks") if isinstance(data, dict) else None
+    if isinstance(entries, list):
+        for entry in entries:
+            median = (entry.get("stats") or {}).get("median")
+            if isinstance(median, (int, float)):
+                metrics[f"{entry['name']}.median_s"] = median
 
     def walk(prefix: str, obj, depth: int) -> None:
         if isinstance(obj, dict) and depth < 2:

@@ -4,8 +4,10 @@ The paper writes 586 comp type annotations across Array, Hash, String,
 Integer, Float, ActiveRecord and Sequel, supported by 83 shared helper
 methods.  This package reproduces that library: helpers (some written in
 mini-Ruby, as in Fig. 1b; most native) plus one module of signature tables
-per library.  ``install_all`` loads everything into a CompRDL instance and
-returns per-library counts for the Table 1 harness.
+per library.  ``run_installers`` loads everything into a universe and
+returns per-library counts for the Table 1 harness; it runs once per
+process, to build the library base (:mod:`repro.annotations.base`), and
+``install_all`` copies that base into each new universe.
 """
 
 from __future__ import annotations
@@ -18,10 +20,21 @@ from repro.annotations import corelib_string
 from repro.annotations import corelib_numeric
 from repro.annotations import activerecord as ar_annotations
 from repro.annotations import sequel as sequel_annotations
+from repro.annotations.base import library_base
 
 
 def install_all(rdl) -> dict[str, dict[str, int]]:
-    """Install every annotation set; returns Table 1 accounting.
+    """Install every annotation set into ``rdl``; returns Table 1
+    accounting (see :func:`run_installers`).
+
+    Copies the process-wide library base, which the installers build on
+    the first call, so the library is installed once per process.
+    """
+    return library_base().install(rdl)
+
+
+def run_installers(rdl) -> dict[str, dict[str, int]]:
+    """Run every annotation installer; returns Table 1 accounting.
 
     The result maps library name to ``{"comp_defs": n, "loc": n}`` where
     ``loc`` counts lines of type-level code (comp expression code plus

@@ -14,6 +14,9 @@ flat dict with dotted, **stable** key names:
   predicate-cache shares and nominal inline caches (process-wide)
 * ``intern.types`` / ``intern.fingerprints`` / ``intern.envs`` — the
   hash-consing table sizes (process-wide)
+* ``library.base_builds`` — how often this process built the library
+  base every universe copies (:mod:`repro.annotations.base`; 1 once any
+  universe exists)
 * ``counters.<name>`` — every live :func:`repro.obs.spans.bump` counter
   (subtype queries, comp-eval hits, db row ops, …)
 
@@ -73,6 +76,9 @@ def metrics_snapshot(*sources) -> dict:
     snap["intern.types"] = intern_tables.interned_count()
     snap["intern.fingerprints"] = intern_tables.fingerprint_count()
     snap["intern.envs"] = intern_tables.env_count()
+
+    from repro.annotations.base import base_builds
+    snap["library.base_builds"] = base_builds()
 
     for name, value in spans.counters().items():
         snap[f"counters.{name}"] = value

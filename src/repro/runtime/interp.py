@@ -39,6 +39,7 @@ from repro.runtime.objects import (
     RMethod,
     RObject,
     RString,
+    _METHOD_EPOCH,
     ruby_eq,
     ruby_to_s,
 )
@@ -182,6 +183,42 @@ class Interp:
     """
 
     def __init__(self) -> None:
+        self._init_state()
+        # the core classes and their native methods come from the
+        # process-wide corelib template, built by the installers on first
+        # use: every interpreter gets class tables of its own, while the
+        # native method entries in them are shared
+        template = _CORELIB_TEMPLATE[0] if _CORELIB_TEMPLATE \
+            else _build_corelib_template()
+        classes = self.classes
+        for name, klass in template.classes.items():
+            parent = klass.superclass
+            classes[name] = klass.clone(
+                None if parent is None else classes[parent.name])
+        self.consts.update(template.consts)
+        self.globals.update(template.globals)
+        self.foreign_handlers.extend(template.foreign_handlers)
+        self.class_def_hooks.extend(template.class_def_hooks)
+        # one epoch bump for the whole batch of new tables
+        _METHOD_EPOCH[0] += 1
+        self._link_core()
+
+    @classmethod
+    def installed(cls) -> "Interp":
+        """An interpreter whose core library comes straight from the
+        installers rather than from the template's tables: how the
+        template itself is built, and the reference its copies are tested
+        against."""
+        from repro.runtime.corelib import install_corelib
+
+        interp = cls.__new__(cls)
+        interp._init_state()
+        interp._bootstrap()
+        install_corelib(interp)
+        interp._link_core()
+        return interp
+
+    def _init_state(self) -> None:
         # one reusable weakref for the compiled code's call-site caches
         # (they must not strongly pin this interpreter; see compile.py)
         self.weak_self = weakref.ref(self)
@@ -204,10 +241,8 @@ class Interp:
         # Python's recursion limit, which ``invoke`` turns into Ruby's
         # SystemStackError
         self.frame_stack: list[Frame] = []
-        self._bootstrap()
-        from repro.runtime.corelib import install_corelib
 
-        install_corelib(self)
+    def _link_core(self) -> None:
         self.main = RObject(self.classes["Object"])
         # exact-pytype -> RClass shortcut for class_of (subclasses and the
         # identity-dispatched immediates fall back to the isinstance ladder)
@@ -474,3 +509,15 @@ class Interp:
 
     def _inherits(self, klass: RClass, name: str) -> bool:
         return any(a.name == name for a in klass.ancestors())
+
+
+# The process-wide corelib template (one entry once built): an interpreter
+# the installers filled, whose tables every ``Interp()`` copies.  It never
+# runs code, so its tables hold exactly what the installers put there.
+_CORELIB_TEMPLATE: list[Interp] = []
+
+
+def _build_corelib_template() -> Interp:
+    template = Interp.installed()
+    _CORELIB_TEMPLATE.append(template)
+    return template

@@ -247,6 +247,24 @@ class RClass:
         else:
             self.imethods[name] = method
 
+    def clone(self, superclass: "RClass | None") -> "RClass":
+        """A copy of this class with tables of its own, linked under
+        ``superclass``.  The method entries themselves are shared, so only
+        native methods (no ``owner``-relative behaviour) may sit in a class
+        that is cloned.  Callers bump the method epoch once for the batch."""
+        copy = RClass.__new__(RClass)
+        copy.name = self.name
+        copy.superclass = superclass
+        copy.imethods = self.imethods.copy()
+        copy.smethods = self.smethods.copy()
+        copy.consts = self.consts.copy()
+        copy.cvars = self.cvars.copy()
+        copy.generic_params = list(self.generic_params)
+        copy._icache = {}
+        copy._scache = {}
+        copy._epoch = 0
+        return copy
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RClass({self.name})"
 

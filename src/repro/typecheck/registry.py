@@ -23,7 +23,7 @@ from repro.rtypes.kinds import Sym
 from repro.runtime.objects import RClass, RHash, RString
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodKey:
     """Identifies a method: class, name, and instance-vs-class level."""
 
@@ -31,17 +31,38 @@ class MethodKey:
     method_name: str
     static: bool = False
 
+    def __init__(self, class_name: str, method_name: str,
+                 static: bool = False) -> None:
+        # the checker builds a key per superclass in every lookup, and every
+        # universe copies ~650 library keys: filling the instance dict
+        # directly skips the frozen dataclass's per-field
+        # object.__setattr__ call, and the hash is computed once
+        fields = self.__dict__
+        fields["class_name"] = class_name
+        fields["method_name"] = method_name
+        fields["static"] = static
+        fields["_hash"] = hash((class_name, method_name, static))
+
     def __hash__(self) -> int:
-        return hash((self.class_name, self.method_name, self.static))
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild (and rehash) on
+        # unpickling instead of restoring the cached one
+        return (MethodKey, (self.class_name, self.method_name, self.static))
 
     def __str__(self) -> str:
         sep = "." if self.static else "#"
         return f"{self.class_name}{sep}{self.method_name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodAnnotation:
-    """One ``type`` directive's payload."""
+    """One ``type`` directive's payload.
+
+    Frozen: the library's records are shared by every universe in the
+    process (:mod:`repro.annotations.base`), so a stray write must fail
+    instead of reaching them all."""
 
     signature: MethodType
     label: str | None = None
