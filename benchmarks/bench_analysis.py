@@ -1,19 +1,11 @@
-"""Benchmark: static analysis cost and planner-cost-model accuracy.
+"""Benchmark: static analysis cost against checking.
 
-Two questions about :mod:`repro.analysis`:
-
-* **Is it cheap enough?**  The analyzer exists to *avoid* work (re-checks,
-  warm syncs, bad shard plans).  The cold pass (fresh analyzer: index
-  build, footprint inference, effect lint) runs once per universe and is
-  recorded; the *warm* pass (cached footprints — what the scheduler and
-  warm engine consult on every migration) sits on the recheck hot path
-  and is gated: it must cost at least 10x less than checking the app.
-* **Is the static cost model any good?**  The shard planner prices methods
-  by ``StaticFootprint.cost_weight()`` until a wall-time observation
-  exists.  Accuracy is reported as pairwise rank concordance between the
-  static weights and the observed per-method EWMA costs
-  (``IncrementalStats.method_costs``) — recorded for trajectory tracking,
-  not gated (observed costs on a busy CI box are noisy).
+The cold pass (fresh analyzer: index build, footprint inference, effect
+lint) is what ``CompRDL.analyze()`` and ``python -m repro.analysis`` run
+once per universe, and is recorded.  The *warm* pass (re-querying one
+analyzer whose index and footprints are cached) is gated: it must cost at
+least 10x less than checking the app.  Nothing in checking consults
+either pass; the gate keeps a long-lived analyzer cheap to re-query.
 
 The soundness contract (static ⊇ dynamic for every method with recorded
 deps) is asserted every round — that part gates like the parity checks in
@@ -39,26 +31,6 @@ DEFAULT_ROUNDS = 5
 QUICK_ROUNDS = 2
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results",
                             "bench_analysis.json")
-
-
-def rank_concordance(static_weights: dict, observed: dict) -> float | None:
-    """Pairwise ordering agreement between the static cost model and the
-    observed per-method costs (1.0 = every comparable pair ordered the
-    same way, 0.5 = coin flip).  None when too few methods overlap."""
-    descs = sorted(set(static_weights) & set(observed))
-    agree = disagree = 0
-    for i, a in enumerate(descs):
-        for b in descs[i + 1:]:
-            ds = static_weights[a] - static_weights[b]
-            do = observed[a] - observed[b]
-            if ds == 0 or do == 0:
-                continue
-            if (ds > 0) == (do > 0):
-                agree += 1
-            else:
-                disagree += 1
-    total = agree + disagree
-    return round(agree / total, 4) if total else None
 
 
 def bench_app(app, rounds: int) -> dict:
@@ -101,8 +73,6 @@ def bench_app(app, rounds: int) -> dict:
         f"{app.label}: {violations}/{covered} static footprints fail to "
         f"cover their dynamic deps")
 
-    concordance = rank_concordance(
-        report.static_costs(), rdl.incremental_stats.method_costs)
     counts = report.counts()
     return {
         "label": app.label,
@@ -114,7 +84,6 @@ def bench_app(app, rounds: int) -> dict:
         "analysis_warm_wall_s": round(warm_s, 6),
         "analysis_vs_check_ratio": round(cold_s / check_s, 4) if check_s
         else None,
-        "cost_rank_concordance": concordance,
         "deps_covered": covered,
         "pass": warm_s * 10 < check_s,
     }
@@ -122,8 +91,6 @@ def bench_app(app, rounds: int) -> dict:
 
 def run_benchmark(rounds: int) -> dict:
     apps = [bench_app(app, rounds) for app in all_apps()]
-    concordances = [a["cost_rank_concordance"] for a in apps
-                    if a["cost_rank_concordance"] is not None]
     return {
         "benchmark": "static_analysis",
         "workload": (
@@ -136,16 +103,12 @@ def run_benchmark(rounds: int) -> dict:
         "analysis_cold_wall_s": round(
             sum(a["analysis_cold_wall_s"] for a in apps), 4),
         "check_wall_s": round(sum(a["check_wall_s"] for a in apps), 4),
-        "mean_cost_rank_concordance": round(
-            sum(concordances) / len(concordances), 4) if concordances
-        else None,
         "pass": all(a["pass"] for a in apps),
         "pass_criterion": (
-            "warm (cached-footprint) analysis — the path consulted on "
-            "every migration — must cost at least 10x less wall time "
-            "than type checking the app, per app, with zero soundness "
-            "violations; cold analysis time and cost-model rank "
-            "concordance are recorded for trajectory tracking, not gated"
+            "warm (cached-footprint) analysis must cost at least 10x "
+            "less wall time than type checking the app, per app, with "
+            "zero soundness violations; cold analysis time is recorded "
+            "for trajectory tracking, not gated"
         ),
     }
 
@@ -165,21 +128,18 @@ def main() -> int:
     results["quick_mode"] = quick
 
     header = (f"{'app':<12} {'methods':>8} {'check (ms)':>11} "
-              f"{'analyze (ms)':>13} {'warm (µs)':>10} {'concord':>8}")
+              f"{'analyze (ms)':>13} {'warm (µs)':>10}")
     print(f"workload: analyze vs check x {rounds} rounds")
     print(header)
     print("-" * len(header))
     for entry in results["apps"]:
-        concord = entry["cost_rank_concordance"]
         print(f"{entry['label']:<12} {entry['methods']:>8} "
               f"{entry['check_wall_s'] * 1e3:>11.1f} "
               f"{entry['analysis_cold_wall_s'] * 1e3:>13.1f} "
-              f"{entry['analysis_warm_wall_s'] * 1e6:>10.1f} "
-              f"{concord if concord is not None else '-':>8}")
+              f"{entry['analysis_warm_wall_s'] * 1e6:>10.1f}")
     print("-" * len(header))
     print(f"total: check {results['check_wall_s'] * 1e3:.1f}ms, analysis "
-          f"{results['analysis_cold_wall_s'] * 1e3:.1f}ms; mean cost-model "
-          f"concordance {results['mean_cost_rank_concordance']}")
+          f"{results['analysis_cold_wall_s'] * 1e3:.1f}ms")
 
     os.makedirs(os.path.dirname(os.path.abspath(options.json)), exist_ok=True)
     with open(options.json, "w") as handle:

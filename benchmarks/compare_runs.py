@@ -33,6 +33,10 @@ HISTORY_DIR = os.path.join(HERE, "history")
 
 #: regressions smaller than this many seconds are quick-mode jitter
 ABS_FLOOR_S = 0.25
+#: the floor for ``*.median_s`` keys: pytest-benchmark medians (harvested
+#: by run_all.py) sit around a millisecond, so the seconds-scale floor
+#: would let them grow without bound and never flag
+MEDIAN_FLOOR_S = 0.001
 
 #: metric-name substrings where HIGHER is better — for these a *drop*
 #: past the threshold is the regression (a speedup shrinking, a hit rate
@@ -44,6 +48,13 @@ def _direction(key: str) -> str:
     """``"higher"`` when a larger value is better, else ``"lower"``."""
     lowered = key.lower()
     return "higher" if any(h in lowered for h in _HIGHER_BETTER) else "lower"
+
+
+def _abs_floor(key: str) -> float:
+    """How far (in seconds) a seconds-valued cost must grow to flag."""
+    if key.endswith(".median_s"):
+        return MEDIAN_FLOOR_S
+    return ABS_FLOOR_S if key.endswith("_s") else 0.0
 
 
 def latest_runs(history_dir: str, count: int = 2) -> list[tuple[str, dict]]:
@@ -113,8 +124,9 @@ def _compare_metrics(row: dict, old_metrics: dict, new_metrics: dict,
     ``threshold_pct`` percent in the *bad* direction for their name:
     growth for costs (``wall``, ``per_eval``, ``warm_setup``), shrinkage
     for ``speedup`` / ``hit_rate`` / ``ratio`` / ``drop``.  Seconds-valued
-    keys additionally need to move by :data:`ABS_FLOOR_S` — quick-mode
-    jitter is not a finding.  Only moved metrics land in the row.
+    keys additionally need to move by an absolute floor —
+    :data:`MEDIAN_FLOOR_S` for pytest-benchmark medians, else
+    :data:`ABS_FLOOR_S` — quick-mode jitter is not a finding.  Only moved metrics land in the row.
     """
     for key in sorted(set(old_metrics) & set(new_metrics)):
         old, new = old_metrics[key], new_metrics[key]
@@ -134,7 +146,7 @@ def _compare_metrics(row: dict, old_metrics: dict, new_metrics: dict,
         if _direction(key) == "higher":
             regressed = -pct > threshold_pct
         else:
-            floor = ABS_FLOOR_S if key.endswith("_s") else 0.0
+            floor = _abs_floor(key)
             regressed = pct > threshold_pct and abs(delta) > floor
         if not regressed and abs(pct) <= threshold_pct:
             continue  # unmoved pass-criteria stay out of the report
@@ -157,7 +169,7 @@ def render(rows: list[dict], before_name: str, after_name: str) -> str:
                 continue
             unit = "s" if metric in ("wall_s", "cpu_s") else ""
             parts.append(
-                f"{metric} {d['before']:.2f}{unit} -> {d['after']:.2f}{unit} "
+                f"{metric} {d['before']:.4g}{unit} -> {d['after']:.4g}{unit} "
                 f"({d['pct']:+.1f}%){flag}")
         lines.append(f"  {row['bench']}: " + "; ".join(parts))
     flagged = [r["bench"] for r in rows if r.get("regressed")]

@@ -1,6 +1,6 @@
 """``repro.analysis`` — static analysis over comp-typed mini-Ruby code.
 
-Three cooperating passes, none of which execute any type-level code:
+Two passes, neither of which executes any type-level code:
 
 * **footprint inference** (:mod:`repro.analysis.footprint`) — an abstract
   interpreter over the mini-Ruby AST that over-approximates each method's
@@ -16,12 +16,12 @@ Three cooperating passes, none of which execute any type-level code:
   rule ids instead of hard errors: loops in type-level code, calls to
   possibly-divergent or impure methods, iterators with mutating blocks,
   and helper-recursion cycles the dynamic checker silently assumes away.
-* **consumers** — the incremental scheduler pre-seeds dirty-set
-  resolution from static footprints (methods whose verdicts carry no
-  dynamic deps are re-dirtied exactly when their static footprint is
-  affected), the shard planner prices methods by analysis-derived static
-  cost before any wall time is observed, and warm sessions skip delta
-  syncs whose changed tables no pending method's footprint names.
+
+Checking never consults the analysis: every cached verdict carries the
+dynamic footprint its check recorded (serially or on a warm worker), and
+the scheduler re-dirties by that alone.  The static passes only report;
+the fuzzer and ``benchmarks/bench_analysis.py`` keep asserting the
+static ⊇ dynamic contract.
 
 Surfaces: ``python -m repro.analysis`` (the repo-wide diagnostics CLI),
 ``CompRDL.analyze()``, ``table1.py --lint``, and ``analysis.*`` keys in

@@ -118,19 +118,6 @@ class StaticFootprint:
         return MethodDeps(frozenset(tables), frozenset(self.columns),
                           frozenset(self.comps))
 
-    def cost_weight(self) -> float:
-        """A unitless relative check-cost estimate for the shard planner.
-
-        Each distinct comp evaluated adds engine work; each table read adds
-        schema traffic; a wildcard footprint hits the ``all_schemas`` path
-        (the most expensive read).  Tuned against observed per-method wall
-        times (see ``benchmarks/bench_analysis.py``).
-        """
-        weight = 1.0 + 1.5 * len(self.comps) + 0.25 * len(self.tables)
-        if self.wildcard:
-            weight += 4.0
-        return weight
-
     def summary(self) -> dict:
         return {
             "tables": sorted(self.tables),

@@ -76,6 +76,7 @@ def main(argv=None) -> int:
             "seed": seed, "profile": config.profile, "app": config.app,
             "ok": report.ok, "steps_run": report.steps_run,
             "skipped": report.skipped, "checkpoints": report.checkpoints,
+            "warm_remote": report.warm_remote,
             "wall_s": round(report.wall_s, 3),
         }
         if config.profile == "faults":

@@ -141,8 +141,5 @@ class DependencyTracker:
             if affects(deps.tables, changed)
         }
 
-    def forget(self, key) -> None:
-        self.method_deps.pop(key, None)
-
     def clear(self) -> None:
         self.method_deps.clear()

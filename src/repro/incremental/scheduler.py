@@ -45,10 +45,6 @@ class IncrementalScheduler:
         self.results: dict[object, MethodResult] = {}
         self.dirty: set[object] = set()
         self.labels: list[str] = []
-        # analysis-derived static footprints (static ⊇ dynamic — see
-        # repro.analysis.footprint), consulted for verdicts that carry no
-        # dynamic deps; seeded by CompRDL.analyze() / adopt_static_footprints
-        self.static_footprints: dict[object, object] = {}
         # every production path writes this universe's verdict provenance
         # here — _check for fresh verdicts, feed_incremental for warm-session
         # adoptions; empty (and never touched) while provenance is disabled
@@ -68,37 +64,10 @@ class IncrementalScheduler:
         if event.detail and event.kind in TWO_TABLE_KINDS:
             changed.add(event.detail)
         affected = self.tracker.methods_affected_by(changed) & set(self.results)
-        # cached verdicts with no recorded dynamic deps (a worker adoption
-        # that carried none) are invisible to methods_affected_by.  Their
-        # static footprint — a proven superset of any dynamic footprint —
-        # decides instead; with neither recorded the only sound answer is
-        # "affected".
-        for key in self.results:
-            if key in affected or self.tracker.deps_of(key) is not None:
-                continue
-            footprint = self.static_footprints.get(key)
-            if footprint is None:
-                affected.add(key)
-                self._bump_extra("analysis_conservative_dirtied")
-            elif footprint.affected_by(changed):
-                affected.add(key)
-                self._bump_extra("analysis_static_dirtied")
         fresh = affected - self.dirty
         self.dirty |= affected
         self.stats.methods_dirtied += len(fresh)
         self.stats.schema_events += 1
-
-    def adopt_static_footprints(self, footprints: dict) -> None:
-        """Seed analysis-derived footprints (``repro.analysis``): methods
-        whose cached verdicts lack dynamic deps are re-dirtied exactly when
-        their static footprint is affected by a schema change, instead of
-        never (unsound) or always (wasteful)."""
-        self.static_footprints.update(footprints)
-        self.stats.extra["analysis_footprints_seeded"] = \
-            len(self.static_footprints)
-
-    def _bump_extra(self, key: str) -> None:
-        self.stats.extra[key] = self.stats.extra.get(key, 0) + 1
 
     def on_method_change(self, key) -> None:
         """A ``load`` redefined a method or added an annotation: its cached

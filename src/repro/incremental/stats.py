@@ -26,12 +26,7 @@ _EXTRA_KEYS = {
     # bumped by the provenance ledger whenever a re-check changes a
     # method's error set (see repro.obs.provenance)
     "verdict_flips": "provenance.flips",
-    # static-analysis consumers (see repro.analysis)
-    "analysis_footprints_seeded": "analysis.footprints_seeded",
-    "analysis_static_dirtied": "analysis.static_dirtied",
-    "analysis_conservative_dirtied": "analysis.conservative_dirtied",
-    "analysis_static_costs": "analysis.static_costs",
-    "analysis_syncs_skipped": "analysis.syncs_skipped",
+    # the last CompRDL.analyze() report (see repro.analysis)
     "analysis_diagnostics": "analysis.diagnostics",
     "analysis_wildcards": "analysis.wildcards",
 }

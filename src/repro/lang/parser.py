@@ -46,8 +46,8 @@ _DEF_OP_NAMES = (
 
 
 # Content-keyed cache of parsed programs.  Subject-app sources are parsed
-# once per process, not once per universe: every `SubjectApp.build` and every
-# parallel-worker round rebuilds its universe pristine, but the *parse* of
+# once per process, not once per universe: every `SubjectApp.build` (a warm
+# worker's attach included) builds its universe pristine, but the *parse* of
 # identical source is pure and therefore shareable.  The AST is read-only
 # after parsing (the checker keys its dynamic-check table on `node_id`, per
 # interpreter, and the closure compiler caches on the `compiled` slot with

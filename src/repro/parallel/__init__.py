@@ -1,15 +1,15 @@
 """Parallel checking on warm session workers: plan → check → back-feed.
 
 Session workers (:mod:`repro.parallel.sessions`,
-:mod:`repro.parallel.worker`) attach a live universe once — each builds
-pristine replicas of its subject app — then receive schema-journal deltas
-and post-build load records (:class:`SessionDelta`) instead of
-rebuilding.  Each round partitions the methods it must check into
-cost-balanced shards (:mod:`repro.parallel.planner`), checks them on the
-workers, and adopts the picklable verdicts and dependency footprints back
-into the universe's incremental engine (:mod:`repro.parallel.merge`), whose
-``resolve`` assembles a report verdict-for-verdict identical to a serial
-run.
+:mod:`repro.parallel.worker`) attach a live single-label universe once —
+each builds a pristine replica of its subject app — then receive
+schema-journal deltas and post-build load records (:class:`SessionDelta`)
+instead of rebuilding.  Each round partitions the method keys it must
+check into cost-balanced shards (:mod:`repro.parallel.planner`), checks
+them on the workers, and adopts the picklable verdicts and their
+dependency footprints back into the universe's incremental engine
+(:mod:`repro.parallel.merge`), whose ``resolve`` assembles a report
+verdict-for-verdict identical to a serial run.
 
 Use ``CompRDL.check_all(labels, workers=N)`` to check a universe on its
 own warm fleet, ``CompRDL.recheck_dirty(workers=N)`` for post-migration
@@ -27,7 +27,6 @@ from repro.parallel.protocol import (
     CheckRequest,
     DeltaAck,
     DetachSession,
-    MethodSpec,
     MethodVerdict,
     SessionDelta,
     SessionError,
@@ -47,7 +46,6 @@ __all__ = [
     "CheckRequest",
     "DeltaAck",
     "DetachSession",
-    "MethodSpec",
     "MethodVerdict",
     "ParallelCheckEngine",
     "SessionDelta",

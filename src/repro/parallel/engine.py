@@ -1,7 +1,7 @@
 """The parallel checking fleet: warm session workers and their rounds.
 
 :class:`ParallelCheckEngine` is the one parallel path.  Session workers
-attach a live universe once — each builds pristine replicas of the
+attach a live universe once — each builds a pristine replica of the
 universe's subject app — then receive schema-journal deltas plus
 post-build load records, and check only the methods a round needs:
 
@@ -35,7 +35,6 @@ from repro.parallel.protocol import (
     AttachUniverse,
     CheckRequest,
     DetachSession,
-    MethodSpec,
     SessionDelta,
     ShardResult,
 )
@@ -66,17 +65,6 @@ def _normalize_labels(labels) -> list[str]:
     return [label.lstrip(":") for label in labels]
 
 
-def _static_costs_of(scheduler) -> dict | None:
-    """Analysis-derived planner cost weights (desc -> weight) from the
-    scheduler's seeded static footprints; None until ``CompRDL.analyze()``
-    (or an explicit seed) has run."""
-    footprints = getattr(scheduler, "static_footprints", None)
-    if not footprints:
-        return None
-    return {str(key): footprint.cost_weight()
-            for key, footprint in footprints.items()}
-
-
 class ParallelCheckEngine:
     """A persistent fleet of warm session workers."""
 
@@ -94,11 +82,11 @@ class ParallelCheckEngine:
         # crosses the process boundary, never a connection
         self.backend = backend
         self.stats = stats or IncrementalStats()
-        # a pool of stateful session workers plus the universe currently
-        # attached to them
+        # a pool of stateful session workers plus the universe (and its
+        # one label) currently attached to them
         self._session_pool: SessionPool | None = None
         self._attached_rdl = None
-        self._attached_labels: list[str] = []
+        self._attached_label: str | None = None
         self._session_id: str | None = None
         self.last_warm_run: WarmRun | None = None
 
@@ -107,7 +95,7 @@ class ParallelCheckEngine:
             self._session_pool.close()
             self._session_pool = None
         self._attached_rdl = None
-        self._attached_labels = []
+        self._attached_label = None
         self._session_id = None
 
     def __enter__(self) -> "ParallelCheckEngine":
@@ -122,8 +110,8 @@ class ParallelCheckEngine:
     def attach(self, rdl, labels=None) -> str:
         """Attach a live universe to warm session workers.
 
-        Each session worker builds pristine replicas of every label's
-        subject app once (the cold step) and keeps them alive; afterwards
+        Each session worker builds a pristine replica of the label's
+        subject app once (the cold step) and keeps it alive; afterwards
         :meth:`migrate` ships journal deltas instead of rebuilds and
         :meth:`check_all` checks only pending methods remotely.  Raises
         ``ValueError`` when the universe cannot be warm-replicated (see
@@ -137,7 +125,8 @@ class ParallelCheckEngine:
         if self._session_id is not None:
             self.detach()  # workers must not serve a stale session's replicas
         self._attached_rdl = rdl
-        self._attached_labels = labels
+        # warm_block_reason refuses anything but exactly one label
+        self._attached_label = labels[0]
         self._session_id = new_session_id()
         self.last_warm_run = None
         try:
@@ -180,37 +169,28 @@ class ParallelCheckEngine:
             if label not in scheduler.labels:
                 scheduler.labels.append(label)
         serial_keys = scheduler.keys_for(labels)
-        # the session replicates every label the scheduler tracks, so a
-        # later round over any of them finds it attached
+        # the session replicates the labels the scheduler tracks, so a
+        # later round over them finds it attached
         session_labels = list(scheduler.labels)
         reason = self.warm_block_reason(rdl, session_labels)
         if reason is not None:
             return self._fallback_serial(scheduler, serial_keys, reason)
+        [label] = session_labels  # warm_block_reason admits exactly one
 
         round_start = time.perf_counter()
         pending = scheduler.pending_keys(labels)
         if not pending:
             self.last_warm_run = WarmRun(methods=0, remote=False)
             return scheduler.resolve(serial_keys)
-        round_span = obs_spans.span("warm.round",
-                                    label=",".join(session_labels))
+        round_span = obs_spans.span("warm.round", label=label)
         round_span.__enter__()
         round_span.set("dirty", len(pending))
 
         sync_start = time.perf_counter()
         try:
             if (rdl is not self._attached_rdl
-                    or session_labels != self._attached_labels):
-                self.attach(rdl, session_labels)
-            elif self._delta_irrelevant(rdl, pending):
-                # every pending method's static footprint is disjoint from
-                # the un-synced journal delta: checking on the stale
-                # replicas yields identical verdicts, so the sync can wait
-                extra = scheduler.stats.extra
-                extra["analysis_syncs_skipped"] = \
-                    extra.get("analysis_syncs_skipped", 0) + 1
-                obs_spans.event("warm.sync_skipped",
-                                args={"pending": len(pending)})
+                    or label != self._attached_label):
+                self.attach(rdl, [label])
             else:
                 self._sync_session(rdl)
         except (WarmSyncError, WorkerLost, SessionRequestFailed) as exc:
@@ -222,23 +202,8 @@ class ParallelCheckEngine:
         sync_s = time.perf_counter() - sync_start
 
         plan_start = time.perf_counter()
-        label_of: dict = {}
-        for label in session_labels:
-            for key in rdl.registry.methods_for_label(label):
-                label_of.setdefault(key, label)
-        specs = [
-            MethodSpec(label_of[key], key.class_name, key.method_name,
-                       key.static)
-            for key in pending
-        ]
-        workers = self._attached_workers()
-        shards = plan_shards(
-            specs,
-            max(1, len(workers)),
-            registry_for_label=lambda _label: rdl.registry,
-            stats=scheduler.stats,
-            static_costs=_static_costs_of(scheduler),
-        )
+        shards = plan_shards(pending, len(self._attached_workers()),
+                             registry=rdl.registry, stats=scheduler.stats)
         plan_s = time.perf_counter() - plan_start
 
         results, retries = self._run_warm_shards(shards)
@@ -290,7 +255,7 @@ class ParallelCheckEngine:
                     pass
                 handle.attached = False
         self._attached_rdl = None
-        self._attached_labels = []
+        self._attached_label = None
         self._session_id = None
 
     def _abort_session(self) -> None:
@@ -305,7 +270,7 @@ class ParallelCheckEngine:
             self._session_pool.close()
             self._session_pool = None
         self._attached_rdl = None
-        self._attached_labels = []
+        self._attached_label = None
         self._session_id = None
 
     # -- warm internals ----------------------------------------------------
@@ -368,36 +333,6 @@ class ParallelCheckEngine:
     def _attached_workers(self):
         return [handle for handle in self._session_pool.live()
                 if handle.attached] if self._session_pool else []
-
-    def _delta_irrelevant(self, rdl, pending) -> bool:
-        """Can this round ship CheckRequests without a delta sync?
-
-        True only when every attached worker is load-converged and every
-        pending method has a static footprint (``repro.analysis``, a
-        proven superset of its dynamic deps) disjoint from the tables the
-        un-synced journal delta touches — then checking on the stale
-        replicas is verdict-identical and the sync can be deferred.
-        """
-        workers = self._attached_workers()
-        if not workers:
-            return False
-        footprints = rdl.incremental.static_footprints
-        if not footprints:
-            return False
-        loads = rdl.post_build_loads
-        if any(handle.loads_applied < len(loads) for handle in workers):
-            return False
-        journal = rdl.db.journal
-        oldest = min(handle.synced_generation for handle in workers)
-        if oldest < journal.oldest_retained or oldest >= rdl.db.version:
-            # forgotten delta must cold-sync; an empty delta syncs for free
-            return False
-        changed = journal.tables_changed_since(oldest)
-        for key in pending:
-            footprint = footprints.get(key)
-            if footprint is None or footprint.affected_by(changed):
-                return False
-        return True
 
     def _fallback_serial(self, scheduler, keys, reason: str) -> TypeErrorReport:
         """Run the round in-process: resolve exactly ``keys``, and say why
@@ -473,7 +408,7 @@ class ParallelCheckEngine:
         sync_span.set("attaches", len(needs_attach))
         attach = AttachUniverse(
             session_id=self._session_id,
-            labels=tuple(self._attached_labels),
+            label=self._attached_label,
             backend=backend,
             trace=obs_spans.enabled(),
         )
@@ -490,11 +425,11 @@ class ParallelCheckEngine:
             except WorkerLost:
                 continue
             obs_spans.absorb(getattr(ack, "spans", ()))
-            if any(gen != pristine for gen in ack.generations.values()):
+            if ack.generation != pristine:
                 raise WarmSyncError(
                     f"replica build diverged: worker {handle.index} built "
-                    f"generations {ack.generations}, expected {pristine} — "
-                    f"the universe is not reproducible from its apps")
+                    f"generation {ack.generation}, expected {pristine} — "
+                    f"the universe is not reproducible from its app")
             handle.attached = True
             handle.synced_generation = pristine
             handle.loads_applied = 0
@@ -522,10 +457,10 @@ class ParallelCheckEngine:
             except WorkerLost:
                 continue
             obs_spans.absorb(getattr(ack, "spans", ()))
-            if any(gen != rdl.db.version for gen in ack.generations.values()):
+            if ack.generation != rdl.db.version:
                 raise WarmSyncError(
                     f"delta replay diverged on worker {handle.index}: "
-                    f"replicas at {ack.generations}, universe at "
+                    f"replica at {ack.generation}, universe at "
                     f"{rdl.db.version}")
             handle.synced_generation = rdl.db.version
             handle.loads_applied = len(loads)
@@ -549,7 +484,7 @@ class ParallelCheckEngine:
             in_flight: list[tuple] = []
             for handle, shard in assignments:
                 request = CheckRequest(self._session_id, shard.index,
-                                       tuple(shard.specs),
+                                       tuple(shard.keys),
                                        trace=obs_spans.enabled(),
                                        provenance=obs_prov.enabled())
                 try:

@@ -38,7 +38,7 @@ def feed_incremental(scheduler, results: list[ShardResult], generation: int,
     adopted = 0
     for result in results:
         for verdict in result.verdicts:
-            key = verdict.spec.key()
+            key = verdict.key
             errors = verdict.rebuild_errors()
             scheduler.results[key] = MethodResult(
                 key=key,
@@ -48,8 +48,7 @@ def feed_incremental(scheduler, results: list[ShardResult], generation: int,
                 oracle_casts=verdict.oracle_casts,
                 generation=generation,
             )
-            if verdict.deps is not None:
-                tracker.adopt(key, verdict.deps)
+            tracker.adopt(key, verdict.deps)
             scheduler.dirty.discard(key)
             if prov_on:
                 who = dict(producer) if producer else {"kind": "warm"}

@@ -1,17 +1,17 @@
 """The shard planner: partition a round's methods into balanced shards.
 
 A method's **check cost** is its last *observed* wall time when the
-incremental stats have one (``IncrementalStats.method_costs``, recorded by
-every ``TypeChecker.check_one``), then its static-analysis cost weight,
-falling back to a comp-count heuristic — call sites are where comp types
-evaluate (rule C-App-Comp), so a body's ``MethodCall`` node count is the
-best static proxy for its checking cost.  Session workers already hold
-live replicas, so splitting a label across shards costs nothing: the
-planner splits while workers are spare and packs by predicted cost.
+incremental stats have one (``IncrementalStats.method_costs``, an EWMA fed
+by every ``check_one`` and every adopted verdict), falling back to a comp-count heuristic — call
+sites are where comp types evaluate (rule C-App-Comp), so a body's
+``MethodCall`` node count is the best static proxy for its checking cost.
+Every session worker holds a replica of the whole app, so any method can
+go to any shard: the planner is one longest-processing-time greedy pass
+over method keys.
 
-Planning is deterministic: all orderings derive from the caller's label
-order and each label's registry order, with explicit tie-breaks, so the
-same inputs always produce the same shards.
+Planning is deterministic: costs tie-break on the caller's key order, and
+shards tie-break on their index, so the same inputs always produce the
+same shards.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.lang import ast_nodes as ast
 from repro.obs.spans import traced
-from repro.parallel.protocol import MethodSpec
+from repro.typecheck.registry import MethodKey
 
 #: fallback per-method base checking cost in seconds
 BASE_METHOD_COST = 0.0004
@@ -51,44 +51,19 @@ def comp_site_count(node) -> int:
     return count
 
 
-def method_cost(spec: MethodSpec, registry=None, stats=None,
-                static_costs: dict | None = None) -> float:
-    """Predicted checking cost (seconds) for one method.
-
-    Sources, best first: the observed wall-time EWMA, the static-analysis
-    cost weight (``repro.analysis`` — comps/tables the method's footprint
-    actually reaches), then the raw comp-site count heuristic.
-    """
+def method_cost(key: MethodKey, registry=None, stats=None) -> float:
+    """Predicted checking cost (seconds) for one method: the observed
+    wall-time EWMA, else the comp-site count heuristic."""
     if stats is not None:
-        observed = stats.method_costs.get(spec.desc)
+        observed = stats.method_costs.get(str(key))
         if observed is not None:
             return max(observed, 1e-6)
-    if static_costs is not None:
-        weight = static_costs.get(spec.desc)
-        if weight is not None:
-            if stats is not None:
-                stats.extra["analysis_static_costs"] = \
-                    stats.extra.get("analysis_static_costs", 0) + 1
-            return BASE_METHOD_COST * weight
     sites = 0
     if registry is not None:
-        node = registry.defined_methods.get(spec.key())
+        node = registry.defined_methods.get(key)
         if node is not None:
             sites = comp_site_count(node)
     return BASE_METHOD_COST + COMP_SITE_COST * sites
-
-
-@dataclass
-class _Bin:
-    """An unsplittable planning unit: some of one label's methods."""
-
-    label: str
-    entries: list[tuple[MethodSpec, float]]
-    seq: int  # creation order, for deterministic tie-breaks
-
-    @property
-    def check_cost(self) -> float:
-        return sum(cost for _, cost in self.entries)
 
 
 @dataclass
@@ -96,90 +71,26 @@ class Shard:
     """One worker's assignment, with the planner's cost prediction."""
 
     index: int
-    specs: list[MethodSpec] = field(default_factory=list)
+    keys: list[MethodKey] = field(default_factory=list)
     predicted_cost: float = 0.0
 
 
 @traced("fleet.plan_shards")
-def plan_shards(
-    specs: list[MethodSpec],
-    workers: int,
-    registry_for_label=None,
-    stats=None,
-    static_costs: dict | None = None,
-) -> list[Shard]:
-    """Partition ``specs`` into at most ``workers`` balanced shards.
+def plan_shards(keys: list[MethodKey], workers: int, registry=None,
+                stats=None) -> list[Shard]:
+    """Partition ``keys`` into at most ``workers`` balanced shards.
 
-    ``registry_for_label`` maps a label to the AnnotationRegistry holding its
-    method bodies (for the comp-count heuristic); ``static_costs`` maps
-    method descs to analysis-derived cost weights
-    (``AnalysisReport.static_costs()``), consulted when no wall time has
-    been observed yet.  Three phases:
-
-    1. **bin** — one bin per label, methods costed individually;
-    2. **split** — while there are spare workers, halve the bin with the
-       largest check cost;
-    3. **pack** — longest-processing-time greedy over bins into shards.
+    ``registry`` holds the method bodies the comp-count heuristic reads.
+    Longest-processing-time greedy: keys in descending cost go to the
+    least-loaded shard; each shard then lists its keys in ``keys`` order.
     """
-    workers = max(1, workers)
-
-    bins: list[_Bin] = []
-    by_label: dict[str, _Bin] = {}
-    for spec in specs:
-        registry = registry_for_label(spec.label) if registry_for_label else None
-        cost = method_cost(spec, registry, stats, static_costs)
-        existing = by_label.get(spec.label)
-        if existing is None:
-            existing = _Bin(label=spec.label, entries=[], seq=len(bins))
-            by_label[spec.label] = existing
-            bins.append(existing)
-        existing.entries.append((spec, cost))
-
-    seq = len(bins)
-    while len(bins) < workers:
-        candidate = _best_split(bins)
-        if candidate is None:
-            break
-        bins.remove(candidate)
-        left, right = _halve(candidate, seq)
-        seq += 2
-        bins.extend([left, right])
-
-    shards = [Shard(index=i) for i in range(min(workers, len(bins)))]
-    if not shards:
-        return []
-    loads = [0.0] * len(shards)
-    for bin_ in sorted(bins, key=lambda b: (-b.check_cost, b.seq)):
-        target = min(range(len(shards)), key=lambda i: (loads[i], i))
-        loads[target] += bin_.check_cost
-        shards[target].specs.extend(spec for spec, _ in bin_.entries)
-        shards[target].predicted_cost = loads[target]
-
-    order = {spec: index for index, spec in enumerate(specs)}
+    shards = [Shard(index=i) for i in range(min(max(1, workers), len(keys)))]
+    costs = {key: method_cost(key, registry, stats) for key in keys}
+    order = {key: index for index, key in enumerate(keys)}
+    for key in sorted(keys, key=lambda k: (-costs[k], order[k])):
+        target = min(shards, key=lambda s: (s.predicted_cost, s.index))
+        target.predicted_cost += costs[key]
+        target.keys.append(key)
     for shard in shards:
-        shard.specs.sort(key=lambda s: order[s])
-    return [s for s in shards if s.specs]
-
-
-def _best_split(bins: list[_Bin]) -> _Bin | None:
-    """The bin most worth halving (the largest check cost among bins with
-    two or more methods), or None when no bin can be halved."""
-    candidates = [
-        b for b in bins if len(b.entries) > 1 and b.check_cost > 0
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda b: (b.check_cost, -b.seq))
-
-
-def _halve(bin_: _Bin, seq: int) -> tuple[_Bin, _Bin]:
-    """Split one bin's methods into two cost-balanced halves (LPT)."""
-    left = _Bin(bin_.label, [], seq)
-    right = _Bin(bin_.label, [], seq + 1)
-    ordered = sorted(
-        enumerate(bin_.entries), key=lambda item: (-item[1][1], item[0])
-    )
-    for _, entry in ordered:
-        target = left if left.check_cost <= right.check_cost else right
-        target.entries.append(entry)
-    return left, right
+        shard.keys.sort(key=order.__getitem__)
+    return shards

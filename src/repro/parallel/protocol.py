@@ -8,12 +8,13 @@ its arguments (re-pickling the instance would re-format an already-formatted
 message and lose the structured ``line``/``method`` fields).
 
 The vocabulary is the warm session's (:class:`AttachUniverse` /
-:class:`SessionDelta` / :class:`CheckRequest` …): workers keep live label
-universes between rounds, receive schema-journal deltas and post-build
-load records instead of rebuilding, and check only the methods a round
-sends them.  Session messages are routed to a *specific* worker process
-(state lives there), so they carry a ``session_id`` and the worker side
-is a dispatch loop (:func:`repro.parallel.worker.session_main`).
+:class:`SessionDelta` / :class:`CheckRequest` …): a worker keeps one live
+replica of the session's subject app between rounds, receives
+schema-journal deltas and post-build load records instead of rebuilding,
+and checks only the methods a round sends it, named by their
+:class:`MethodKey`.  Session messages are routed to a *specific* worker
+process (state lives there), so they carry a ``session_id`` and the
+worker side is a dispatch loop (:func:`repro.parallel.worker.session_main`).
 
 Schema deltas travel as :meth:`SchemaEvent.to_wire` tuples — the stable
 encoding shared with any future socket transport.
@@ -46,33 +47,17 @@ def decode_error(record: tuple) -> StaticTypeError:
     return _ERROR_KINDS.get(kind, StaticTypeError)(message, line, method, col)
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """One unit of checkable work: a method of a labelled subject app."""
-
-    label: str
-    class_name: str
-    method_name: str
-    static: bool = False
-
-    def key(self) -> MethodKey:
-        return MethodKey(self.class_name, self.method_name, self.static)
-
-    @property
-    def desc(self) -> str:
-        return str(self.key())
-
-
 @dataclass
 class MethodVerdict:
-    """One method's result, exactly what the serial checker would record."""
+    """One method's result, exactly what the serial checker would record,
+    with the dependency footprint the worker's checker recorded for it."""
 
-    spec: MethodSpec
+    key: MethodKey
     desc: str
+    deps: MethodDeps
     errors: list[tuple[str, str, int, str]] = field(default_factory=list)
     casts_used: int = 0
     oracle_casts: int = 0
-    deps: MethodDeps | None = None
     cost_s: float = 0.0
     #: worker-side provenance piggyback: ``(comp_hits, comp_misses)``
     #: attributed to this check, or None when provenance was off for the
@@ -102,45 +87,44 @@ class ShardResult:
 
 @dataclass(frozen=True)
 class AttachUniverse:
-    """Build (or rebuild, pristine) live label universes in a worker.
+    """Build (or rebuild, pristine) a session's live replica in a worker.
 
-    The session lifecycle's cold step: each label's subject app is built
-    from scratch, and the universes then *stay alive* in the worker;
-    subsequent :class:`SessionDelta` messages keep them converged with the
+    The session lifecycle's cold step: the label's subject app is built
+    from scratch, and the replica then *stays alive* in the worker;
+    subsequent :class:`SessionDelta` messages keep it converged with the
     engine's universe.  Re-attaching an existing session id replaces its
-    replicas (crash recovery / journal gaps fall back to this).
+    replica (crash recovery / journal gaps fall back to this).
 
-    ``backend`` names the storage backend the worker builds its replicas
+    ``backend`` names the storage backend the worker builds its replica
     against (``None`` → the environment default).  Only the *name*
     crosses the process boundary — a live engine connection (sqlite3) is
     unpicklable by design; each worker opens its own.
     """
 
     session_id: str
-    labels: tuple[str, ...]
+    label: str
     backend: str | None = None
     trace: bool = False
 
 
 @dataclass
 class AttachAck:
-    """Attach reply: the replica generations the engine must verify."""
+    """Attach reply: the replica generation the engine must verify."""
 
     session_id: str
-    generations: dict[str, int] = field(default_factory=dict)  # label -> gen
-    build_s: dict[str, float] = field(default_factory=dict)
+    generation: int = 0
     pid: int = 0
     spans: tuple = ()
 
 
 @dataclass(frozen=True)
 class SessionDelta:
-    """Converge a session's live replicas with the engine's universe.
+    """Converge a session's live replica with the engine's universe.
 
     ``events`` are :meth:`SchemaEvent.to_wire` tuples (the journal delta
-    since the worker's last synced generation), replayed against every
+    since the worker's last synced generation), replayed against the
     replica's live ``Database``; ``loads`` are post-pristine program
-    sources (method definition records), re-executed against every
+    sources (method definition records), re-executed against the
     replica's interpreter/registry.  After a successful delta the
     replica's generation equals the engine universe's — which the ack
     reports and the engine asserts.
@@ -154,10 +138,10 @@ class SessionDelta:
 
 @dataclass
 class DeltaAck:
-    """Delta reply: post-replay generations, for parity verification."""
+    """Delta reply: the post-replay generation, for parity verification."""
 
     session_id: str
-    generations: dict[str, int] = field(default_factory=dict)  # label -> gen
+    generation: int = 0
     events_applied: int = 0
     loads_applied: int = 0
     pid: int = 0
@@ -166,16 +150,15 @@ class DeltaAck:
 
 @dataclass(frozen=True)
 class CheckRequest:
-    """Check a method slice against a session's live replicas.
+    """Check a method slice against a session's live replica.
 
-    No rebuild happens: the worker resolves each spec's label to its live
-    replica and runs the ``check_one`` loop, returning a
-    :class:`ShardResult`.
+    No rebuild happens: the worker runs the ``check_one`` loop over
+    ``keys`` on its replica, returning a :class:`ShardResult`.
     """
 
     session_id: str
     shard_id: int
-    specs: tuple[MethodSpec, ...] = ()
+    keys: tuple[MethodKey, ...] = ()
     #: record obs spans worker-side and ship them back on the result
     trace: bool = False
     #: attribute comp-cache traffic per verdict worker-side (the ``prov``
@@ -185,7 +168,7 @@ class CheckRequest:
 
 @dataclass(frozen=True)
 class DetachSession:
-    """Drop one session's replicas (the worker process stays up)."""
+    """Drop one session's replica (the worker process stays up)."""
 
     session_id: str
 

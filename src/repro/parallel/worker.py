@@ -4,14 +4,14 @@ Runs inside a spawn-mode child process (every function here must be
 importable from a fresh interpreter — no closures, no inherited state).
 
 :func:`session_main` is a stateful dispatch loop over a pipe, keyed by
-session id.  ``AttachUniverse`` builds live label universes once;
-``SessionDelta`` replays schema-journal events and post-build load
-records against them (journal-replay parity: after a delta the replica's
-generation and ``schema_hash()`` equal the engine's); ``CheckRequest``
-checks a method slice against the warm replicas — no rebuild — and ships
-back picklable verdicts together with the dependency footprints the
-checker recorded, so the engine can back-feed its incremental dependency
-graph.
+session id.  ``AttachUniverse`` builds the session's replica of its
+subject app once; ``SessionDelta`` replays schema-journal events and
+post-build load records against it (journal-replay parity: after a delta
+the replica's generation and ``schema_hash()`` equal the engine's);
+``CheckRequest`` checks a slice of method keys against the warm replica —
+no rebuild — and ships back picklable verdicts together with the
+dependency footprints the checker recorded, so the engine can back-feed
+its incremental dependency graph.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _trace_begin(message) -> int | None:
 
     The provenance flag is re-derived the same way (``provenance`` field /
     ``REPRO_PROVENANCE``), so per-verdict attribution in
-    :func:`check_specs_into` follows each request.
+    :func:`check_keys_into` follows each request.
     """
     obs_spans.set_enabled(bool(getattr(message, "trace", False))
                           or obs_spans.env_enabled())
@@ -76,8 +76,8 @@ def _trace_end(reply, mark: int | None):
 def session_main(conn) -> None:
     """Serve session messages over ``conn`` until shutdown or EOF.
 
-    The spawn entry point for warm workers.  All state — the live label
-    universes, keyed by session id — lives in this loop's locals; a reply
+    The spawn entry point for warm workers.  All state — one live replica
+    per session id — lives in this loop's locals; a reply
     is sent for every request (``SessionError`` on failure, so one bad
     request never wedges the engine), and the loop only exits on
     :class:`Shutdown`, a closed pipe, or a dead parent.
@@ -130,105 +130,89 @@ def _attach(sessions: dict, message: AttachUniverse) -> AttachAck:
     from repro.apps import app_for_label
 
     trace_mark = _trace_begin(message)
-    replicas: dict[str, object] = {}
-    ack = AttachAck(session_id=message.session_id, pid=os.getpid())
-    with obs_spans.span("session.attach", label=message.session_id) as sp:
-        sp.set("labels", len(message.labels))
-        for label in message.labels:
-            build_start = time.perf_counter()
-            rdl = app_for_label(label).build(backend=message.backend)
-            ack.build_s[label] = time.perf_counter() - build_start
-            ack.generations[label] = rdl.db.version
-            replicas[label] = rdl
-    # replace atomically: a re-attach (crash recovery, journal gap) must
-    # not leave a half-updated session behind a failed build
-    sessions[message.session_id] = replicas
+    with obs_spans.span("session.attach", label=message.session_id):
+        rdl = app_for_label(message.label).build(backend=message.backend)
+    # replace only once built: a re-attach (crash recovery, journal gap)
+    # must not leave a half-built replica behind a failed build
+    sessions[message.session_id] = rdl
+    ack = AttachAck(session_id=message.session_id,
+                    generation=rdl.db.version, pid=os.getpid())
     return _trace_end(ack, trace_mark)
 
 
-def _session_of(sessions: dict, session_id: str) -> dict:
-    session = sessions.get(session_id)
-    if session is None:
+def _session_of(sessions: dict, session_id: str):
+    rdl = sessions.get(session_id)
+    if rdl is None:
         raise KeyError(f"no attached session {session_id!r} "
                        f"(worker pid {os.getpid()} was restarted?)")
-    return session
+    return rdl
 
 
 def _apply_delta(sessions: dict, message: SessionDelta) -> DeltaAck:
     trace_mark = _trace_begin(message)
-    session = _session_of(sessions, message.session_id)
+    rdl = _session_of(sessions, message.session_id)
     events = [SchemaEvent.from_wire(record) for record in message.events]
     ack = DeltaAck(session_id=message.session_id, pid=os.getpid())
     with obs_spans.span("session.delta", label=message.session_id) as sp:
         sp.set("events", len(events))
         sp.set("loads", len(message.loads))
         try:
-            for rdl in session.values():
-                # replicas already past some events skip them, so report the
-                # most any replica applied (not a per-replica overwrite or a
-                # sum)
-                ack.events_applied = max(ack.events_applied,
-                                         rdl.db.replay(events))
+            ack.events_applied = rdl.db.replay(events)
             for source in message.loads:
-                for rdl in session.values():
-                    rdl.load(source)
+                rdl.load(source)
                 ack.loads_applied += 1
         except Exception:
-            # a partial replay leaves replicas half-migrated; they must
-            # never serve another request, so poison the whole session —
-            # the next round's request errors ("no attached session"),
-            # forcing a cold re-attach instead of replaying onto divergent
-            # state
+            # a partial replay leaves the replica half-migrated; it must
+            # never serve another request, so poison the session — the
+            # next round's request errors ("no attached session"), forcing
+            # a cold re-attach instead of replaying onto divergent state
             sessions.pop(message.session_id, None)
             raise
-    ack.generations = {
-        label: rdl.db.version for label, rdl in session.items()
-    }
+    ack.generation = rdl.db.version
     return _trace_end(ack, trace_mark)
 
 
 def _check_session(sessions: dict, message: CheckRequest) -> ShardResult:
     trace_mark = _trace_begin(message)
-    session = _session_of(sessions, message.session_id)
+    rdl = _session_of(sessions, message.session_id)
     result = ShardResult(shard_id=message.shard_id, pid=os.getpid())
-
-    def resolve(label: str):
-        rdl = session.get(label)
-        if rdl is None:
-            raise KeyError(f"session {message.session_id!r} has no replica "
-                           f"for label {label!r}")
-        return rdl
-
     with obs_spans.span("session.check", label=message.session_id) as sp:
-        sp.set("methods", len(message.specs))
-        check_specs_into(result, resolve, message.specs)
+        sp.set("methods", len(message.keys))
+        check_keys_into(result, rdl, message.keys)
     return _trace_end(result, trace_mark)
 
 
-def check_specs_into(result: ShardResult, resolve, specs) -> None:
-    """Check ``specs`` in order, appending verdicts to ``result``;
-    ``resolve(label)`` supplies the universe to check against.  This loop
-    is the single place the verdict wire format is produced."""
+def check_keys_into(result: ShardResult, rdl, keys) -> None:
+    """Check ``keys`` in order against ``rdl``, appending verdicts to
+    ``result``.  This loop is the single place the verdict wire format is
+    produced; a verdict always carries the dependency footprint the
+    checker recorded for it, because the engine's scheduler re-dirties
+    cached verdicts by nothing else."""
     cpu_start = time.process_time()
     prov_on = obs_prov.enabled()
-    for spec in specs:
-        rdl = resolve(spec.label)
+    checker = rdl.checker
+    tracker = checker.engine.deps
+    for key in keys:
         # per-verdict comp-cache attribution rides the always-on stats
         # counters; one delta per *method* stays far off the comp microloop
-        cap = obs_prov.capture(rdl.checker.engine.stats)
+        cap = obs_prov.capture(checker.engine.stats)
         check_start = time.perf_counter()
         with cap:
-            desc, errors, casts, oracle = rdl.checker.check_one(
-                spec.class_name, spec.method_name, spec.static)
+            desc, errors, casts, oracle = checker.check_one(
+                key.class_name, key.method_name, key.static)
         cost = time.perf_counter() - check_start
+        deps = tracker.deps_of(key)
+        if deps is None:
+            raise RuntimeError(f"checking {key} recorded no dependency "
+                               f"footprint")
         result.check_s += cost
         result.verdicts.append(MethodVerdict(
-            spec=spec,
+            key=key,
             desc=desc,
+            deps=deps,
             errors=[encode_error(e) for e in errors],
             casts_used=casts,
             oracle_casts=oracle,
-            deps=rdl.checker.engine.deps.deps_of(spec.key()),
             cost_s=cost,
             prov=((cap.comp_hits, cap.comp_misses) if prov_on else None),
         ))

@@ -77,14 +77,6 @@ class TestStaticFootprint:
                                wildcard=True).to_method_deps()
         assert WILDCARD in deps.tables and "users" in deps.tables
 
-    def test_cost_weight_orders_by_size(self):
-        small = StaticFootprint()
-        big = StaticFootprint(comps=frozenset({"a", "b", "c"}),
-                              tables=frozenset({"users"}))
-        assert big.cost_weight() > small.cost_weight()
-        assert StaticFootprint(wildcard=True).cost_weight() \
-            > small.cost_weight()
-
 
 @pytest.fixture
 def rdl():

@@ -1,9 +1,7 @@
 """The static ⊇ dynamic soundness contract, asserted over every paper app.
 
 For every method the checker records dynamic dependencies for, the static
-footprint must cover them — on both storage backends.  This is the
-guarantee that makes the consumers (scheduler re-dirtying, warm-session
-delta skipping) verdict-preserving.
+footprint must cover them — on both storage backends.
 """
 
 import pytest
@@ -57,35 +55,3 @@ def test_parity_survives_migration(app):
             continue
         assert analyzer.footprint_of(key).covers(deps), \
             f"{app.label} {key}: coverage lost after migrating {target}"
-
-
-def test_static_seeded_scheduler_is_verdict_identical():
-    """The end-to-end consumer guarantee: a scheduler whose dirty-set
-    resolution is driven by *static* footprints (dynamic deps erased)
-    produces the same report as the dynamic-only baseline after a
-    scripted migration."""
-    from repro.apps import app_for_label
-
-    def run(static_seeded: bool):
-        app = app_for_label("discourse")
-        rdl = app.build()
-        rdl.check_all(app.label)
-        if static_seeded:
-            report = rdl.analyze()
-            # erase every dynamic footprint: the scheduler must fall back
-            # to the static ones for all re-dirtying decisions
-            for key in list(rdl.incremental.results):
-                rdl.incremental.tracker.forget(key)
-            assert rdl.incremental.static_footprints
-        # the scripted migration: widen one hot table, drop a column of
-        # another, add a brand-new table
-        rdl.db.add_column("posts", "parity_probe", "integer")
-        rdl.db.drop_column("users", "staged")
-        rdl.db.create_table("parity_extras", note="string")
-        final = rdl.recheck_dirty()
-        return ([str(e) for e in final.errors], final.checked_methods,
-                final.casts_used)
-
-    baseline = run(static_seeded=False)
-    static = run(static_seeded=True)
-    assert static == baseline

@@ -163,6 +163,6 @@ class TestWorkerSafety:
     def test_attach_messages_carry_the_backend_name(self):
         from repro.parallel.protocol import AttachUniverse
 
-        attach = AttachUniverse(session_id="s", labels=("huginn",),
+        attach = AttachUniverse(session_id="s", label="huginn",
                                 backend="sqlite")
         assert pickle.loads(pickle.dumps(attach)).backend == "sqlite"

@@ -109,9 +109,9 @@ def test_partial_delta_poisons_session():
 
     sessions: dict = {}
     ack = worker._serve(sessions, AttachUniverse(
-        session_id="s", labels=("huginn",), backend="memory"))
+        session_id="s", label="huginn", backend="memory"))
     src = app_for_label("huginn").build(backend="memory")
-    base = ack.generations["huginn"]
+    base = ack.generation
     assert src.db.version == base
     src.db.add_column("agents", "fz_poison_a", "integer")
     src.db.add_column("events", "fz_poison_b", "integer")
@@ -146,7 +146,7 @@ def test_injected_wedge_hits_recv_deadline(monkeypatch):
     ctx = multiprocessing.get_context("spawn")
     handle = SessionWorkerHandle(ctx, 0, deadline_s=1.0)
     try:
-        handle.send(AttachUniverse(session_id="s", labels=()))
+        handle.send(AttachUniverse(session_id="s", label=""))
         start = time.monotonic()
         with pytest.raises(WorkerWedged):
             handle.recv()

@@ -160,8 +160,8 @@ def test_stale_verdict_reports_its_dirtying_events():
 # ---------------------------------------------------------------------------
 
 def test_disabled_mode_records_nothing_and_ships_no_payload():
-    from repro.parallel.protocol import CheckRequest, MethodSpec, ShardResult
-    from repro.parallel.worker import check_specs_into
+    from repro.parallel.protocol import CheckRequest, ShardResult
+    from repro.parallel.worker import check_keys_into
 
     assert not provenance.enabled()
     # the no-op singleton: identical object every call (no per-check
@@ -174,10 +174,8 @@ def test_disabled_mode_records_nothing_and_ships_no_payload():
     assert CheckRequest(session_id="s", shard_id=0).provenance is False
     # and the worker checking loop leaves every verdict's payload at None
     key = sorted(rdl.incremental.results, key=str)[0]
-    spec = MethodSpec(label=LABEL, class_name=key.class_name,
-                      method_name=key.method_name, static=key.static)
     result = ShardResult(shard_id=0)
-    check_specs_into(result, lambda label: rdl, [spec])
+    check_keys_into(result, rdl, [key])
     [verdict] = result.verdicts
     assert verdict.prov is None
     # explain() distinguishes "never checked" from "checked, not recorded"

@@ -17,7 +17,7 @@ import pytest
 
 from repro.apps import app_for_label
 from repro.parallel import sessions
-from repro.parallel.protocol import AttachUniverse, CheckRequest
+from repro.parallel.protocol import CheckRequest, DetachSession
 from repro.parallel.sessions import (
     SessionRequestFailed,
     SessionWorkerHandle,
@@ -55,13 +55,13 @@ def test_worker_lost_on_send(handle):
         # the first send can land in the socket buffer before the kernel
         # notices the peer died; keep sending until the pipe breaks
         for _ in range(10):
-            handle.send(AttachUniverse(session_id="s", labels=()))
+            handle.send(DetachSession(session_id="s"))
             time.sleep(0.05)
     assert not handle.alive
 
 
 def test_worker_lost_on_recv(handle):
-    handle.send(AttachUniverse(session_id="s", labels=()))
+    handle.send(DetachSession(session_id="s"))
     os.kill(handle.process.pid, signal.SIGKILL)
     handle.process.join(timeout=10)
     with pytest.raises(WorkerLost):

@@ -12,7 +12,6 @@ from repro.apps import all_apps, app_for_label
 from repro.parallel import (
     AttachUniverse,
     CheckRequest,
-    MethodSpec,
     ParallelCheckEngine,
     feed_incremental,
     worker,
@@ -49,17 +48,15 @@ def test_run_shard_matches_serial_verdicts():
     # adopted verdicts assemble a report equal to a serial check
     app = APPS["journey"]
     sessions: dict = {}
-    worker._serve(sessions, AttachUniverse(session_id="s",
-                                           labels=(app.label,)))
+    worker._serve(sessions, AttachUniverse(session_id="s", label=app.label))
     rdl = app.build()
     scheduler = rdl.incremental
     scheduler.labels.append(app.label)
     keys = scheduler.keys_for([app.label])
-    specs = tuple(MethodSpec(app.label, key.class_name, key.method_name,
-                             key.static) for key in keys)
     result = worker._serve(sessions, CheckRequest(session_id="s",
-                                                  shard_id=0, specs=specs))
-    assert [v.spec for v in result.verdicts] == list(specs)
+                                                  shard_id=0,
+                                                  keys=tuple(keys)))
+    assert [v.key for v in result.verdicts] == keys
 
     feed_incremental(scheduler, [result], generation=rdl.db.version)
     report = scheduler.resolve(keys)
@@ -67,8 +64,41 @@ def test_run_shard_matches_serial_verdicts():
     assert _serial_key(report) == _serial_key(serial)
     # every verdict was adopted, none rechecked in-process
     assert rdl.incremental_stats.methods_checked == 0
-    # dependency footprints travel with the verdicts
-    assert any(v.deps is not None and v.deps.tables for v in result.verdicts)
+    # dependency footprints travel with every verdict
+    assert all(v.deps is not None for v in result.verdicts)
+    assert any(v.deps.tables for v in result.verdicts)
+
+
+def test_worker_replies_session_error_for_a_verdict_without_deps(
+        monkeypatch):
+    # the scheduler re-dirties cached verdicts by their dynamic footprint
+    # alone, so a worker must never ship a verdict that lacks one
+    import multiprocessing
+    import threading
+
+    from repro.incremental.deps import DependencyTracker
+    from repro.parallel.protocol import SessionError, Shutdown
+
+    app = APPS["journey"]
+    engine_end, worker_end = multiprocessing.Pipe()
+    loop = threading.Thread(target=worker.session_main, args=(worker_end,))
+    loop.start()
+    try:
+        engine_end.send(AttachUniverse(session_id="s", label=app.label))
+        assert engine_end.recv().generation > 0
+        key = app.build().incremental.keys_for([app.label])[0]
+        monkeypatch.setattr(DependencyTracker, "deps_of",
+                            lambda tracker, key: None)
+        engine_end.send(CheckRequest(session_id="s", shard_id=0,
+                                     keys=(key,)))
+        reply = engine_end.recv()
+        assert isinstance(reply, SessionError)
+        assert reply.request == "CheckRequest"
+        assert "no dependency footprint" in reply.error
+    finally:
+        engine_end.send(Shutdown())
+        loop.join(timeout=30)
+    assert not loop.is_alive()
 
 
 def test_check_all_with_workers_matches_serial_and_feeds_incremental():

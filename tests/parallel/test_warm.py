@@ -343,7 +343,7 @@ def test_attach_rejects_unreplicable_universe():
 
 def test_labels_checked_after_attach_are_covered():
     # the warm report must track the scheduler's label list, not the
-    # labels frozen at attach time
+    # label frozen at attach time
     app = app_for_label("journey")
     warm = app.build()
     warm.check_all(app.label)
@@ -355,9 +355,40 @@ def test_labels_checked_after_attach_are_covered():
         serial.db.add_column(table, "c1", "string")
         assert _key(warm.recheck_dirty(workers=2)) == \
             _key(serial.recheck_dirty())
-        attached = list(warm.warm_engine._attached_labels)
+        attached = warm.warm_engine._attached_label
+        assert attached == app.label
 
         warm.check_all(app.label)  # no-op round, session unchanged
-        assert warm.warm_engine._attached_labels == attached
+        assert warm.warm_engine._attached_label == attached
     finally:
         warm.shutdown_warm()
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_every_cached_verdict_carries_a_dynamic_footprint(backend):
+    # the scheduler re-dirties by dynamic footprints alone, so every
+    # verdict it caches — checked serially or adopted from a worker — must
+    # have one
+    app = app_for_label("discourse")
+    rdl = app.build(backend=backend)
+
+    def assert_every_verdict_has_deps():
+        scheduler = rdl.incremental
+        assert scheduler.results
+        missing = [str(key) for key in scheduler.results
+                   if scheduler.tracker.deps_of(key) is None]
+        assert not missing
+
+    try:
+        rdl.check_all(app.label)
+        assert_every_verdict_has_deps()
+        rdl.db.add_column("users", "footprint_probe_a", "string")
+        rdl.recheck_dirty()
+        assert_every_verdict_has_deps()
+        rdl.db.add_column("users", "footprint_probe_b", "string")
+        rdl.recheck_dirty(workers=2)
+        run = rdl.warm_engine.last_warm_run
+        assert run.remote and run.methods > 0
+        assert_every_verdict_has_deps()
+    finally:
+        rdl.shutdown_warm()
