@@ -20,15 +20,33 @@ dispatch.  Failure messages are rendered from the original types.  The
 predicates are bound through this module's ``predicate_for`` name, so a
 test can rebind it to the reference ``value_has_type`` walker and compare
 verdicts and Blame text with the compiled predicates'.
+
+While :mod:`repro.obs` is enabled the specs count, process-wide, the
+checked calls they run, the Blames they raise and the runs whose comp-type
+re-validation their validated-version cache answered
+(``checks.site.runs`` / ``.blames`` / ``.cache_hits`` in
+``obs.metrics_snapshot()``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.obs.state import ENABLED as _OBS_ON
 from repro.rtypes import CompExpr, RType
 from repro.runtime.errors import Blame
 from repro.runtime.member_compile import predicate_for
+
+#: [runs, blames, cache hits] over every spec in the process, counted only
+#: while observability is enabled so disabled runs pay one flag test;
+#: ``obs.metrics_snapshot()`` reads them as ``checks.site.*``
+_SITE_STATS = [0, 0, 0]
+
+
+def _blame(message: str, line: int, col: int) -> Blame:
+    if _OBS_ON[0]:
+        _SITE_STATS[1] += 1
+    return Blame(message, line, col=col)
 
 
 @dataclass
@@ -76,42 +94,43 @@ class CheckSpec:
         self._bind_plan()
 
     def before_call(self, interp, receiver, args, line) -> None:
+        if _OBS_ON[0]:
+            _SITE_STATS[0] += 1
         version = getattr(interp.db, "version", 0) if interp.db else 0
-        if self._validated_version == version:
-            self._check_arg_values(interp, args, line)
-            return
+        if self._validated_version != version:
+            self._revalidate(version, line)
+        elif _OBS_ON[0]:
+            _SITE_STATS[2] += 1
+        if self.check_args:
+            for value, (pred, expected) in zip(args, self._arg_plan):
+                if not pred(interp, value):
+                    raise _blame(
+                        f"argument to {self.method_desc} is not a "
+                        f"{expected.to_s()}", line, self.col,
+                    )
+
+    def _revalidate(self, version, line) -> None:
         for comp, bindings, expected in self.comp_results:
             try:
                 recomputed = self.engine.evaluate_for_check(
                     comp, bindings, line, self.method_desc)
             except Exception as exc:
-                raise Blame(
+                raise _blame(
                     f"comp type for {self.method_desc} failed to re-evaluate "
-                    f"at call time: {exc}", line, col=self.col,
+                    f"at call time: {exc}", line, self.col,
                 )
             if recomputed != expected:
-                raise Blame(
+                raise _blame(
                     f"comp type for {self.method_desc} changed between type "
                     f"checking ({expected.to_s()}) and call time "
                     f"({recomputed.to_s()}) — mutable state the type depends "
-                    f"on was modified", line, col=self.col,
+                    f"on was modified", line, self.col,
                 )
         self._validated_version = version
-        self._check_arg_values(interp, args, line)
-
-    def _check_arg_values(self, interp, args, line) -> None:
-        if not self.check_args:
-            return
-        for value, (pred, expected) in zip(args, self._arg_plan):
-            if not pred(interp, value):
-                raise Blame(
-                    f"argument to {self.method_desc} is not a "
-                    f"{expected.to_s()}", line, col=self.col,
-                )
 
     def after_call(self, interp, receiver, args, result, line) -> None:
         if not self._ret_pred(interp, result):
-            raise Blame(
+            raise _blame(
                 f"{self.method_desc} returned a value outside its computed "
-                f"type {self.ret_type.to_s()}", line, col=self.col,
+                f"type {self.ret_type.to_s()}", line, self.col,
             )

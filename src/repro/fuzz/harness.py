@@ -147,6 +147,29 @@ def _membership_probes(interp) -> tuple:
     )
 
 
+def _live_probes(rdl) -> list:
+    """Invariant 5's probes drawn from the universe as it stands: one
+    relation per live table (``Table<S>`` verdicts, memoized per schema
+    fingerprint and db generation) and one instance per live model (the
+    nominal inline cache keys model instances by class), so both caches
+    are checked against a fresh verdict after every migration."""
+    from repro.orm.relation import RelationValue, table_name_for_class
+    from repro.runtime.objects import RObject
+
+    db = rdl.db
+    models = {}
+    for klass in rdl.interp.classes.values():
+        if klass.name != "ActiveRecord::Base" and any(
+                a.name == "ActiveRecord::Base" for a in klass.ancestors()):
+            table = table_name_for_class(klass.name)
+            if table in db.tables:
+                models.setdefault(table, klass)
+    probes = [RelationValue(db, table, model_class=models.get(table))
+              for table in sorted(db.tables)]
+    probes.extend(RObject(models[table]) for table in sorted(models))
+    return probes
+
+
 def _predicate(where):
     _op, column, value = where
     return lambda row: row.get(column) == value
@@ -203,6 +226,7 @@ class _Storm:
             self.twins.append(self.warm)
         self.model = SchemaModel.of_universe(self.mem)
         self.probes = _membership_probes(self.mem.interp)
+        self.last_guards: list = []
         self.checkpoints = 0
         self.warm_remote = 0
 
@@ -292,26 +316,38 @@ class _Storm:
                     f"dynamic tables {sorted(deps.tables)}")
 
         # invariant 5: compiled membership ≡ structural walker — every
-        # type the §4 guards would test, probed against a fixed value
-        # corpus under both backends (the schema churn above is exactly
-        # what reshapes the comp-evaluated types these guards carry)
+        # type the §4 guards test now or tested at the last checkpoint
+        # (the schema churn above is exactly what reshapes the
+        # comp-evaluated types these guards carry), probed against a fixed
+        # value corpus plus the live tables and models.  The walker judges
+        # Table<S> from scratch, with the verdict memo swapped out, so a
+        # memoized verdict the compiled side replays must still hold.
+        from repro.orm import relation
         from repro.runtime.member_compile import predicate_for
         from repro.runtime.membership import value_has_type
 
         interp = self.mem.interp
-        for spec in interp.check_table.values():
-            for rtype in list(spec.arg_types) + [spec.ret_type]:
-                pred = predicate_for(rtype)
-                for value in self.probes:
-                    bump("fuzz.member_probes")
-                    compiled = pred(interp, value)
+        probes = list(self.probes) + _live_probes(self.mem)
+        guards = [(spec.method_desc, rtype)
+                  for spec in interp.check_table.values()
+                  for rtype in list(spec.arg_types) + [spec.ret_type]]
+        for desc, rtype in guards + self.last_guards:
+            pred = predicate_for(rtype)
+            for value in probes:
+                bump("fuzz.member_probes")
+                compiled = pred(interp, value)
+                memo = relation._TABLE_CHECK_CACHE
+                relation._TABLE_CHECK_CACHE = {}
+                try:
                     structural = value_has_type(interp, value, rtype)
-                    if compiled != structural:
-                        self._fail(
-                            "membership-parity", step_index,
-                            f"{spec.method_desc}: {rtype.to_s()} vs "
-                            f"{value!r}: compiled={compiled} "
-                            f"structural={structural}")
+                finally:
+                    relation._TABLE_CHECK_CACHE = memo
+                if compiled != structural:
+                    self._fail(
+                        "membership-parity", step_index,
+                        f"{desc}: {rtype.to_s()} vs {value!r}: "
+                        f"compiled={compiled} structural={structural}")
+        self.last_guards = guards
 
     def _check_warm(self, report, serial_key, step_index: int) -> None:
         """Invariant 3 for one warm round's report."""

@@ -12,6 +12,9 @@ flat dict with dotted, **stable** key names:
   backend's per-call-site inline caches (process-wide)
 * ``membership.*`` — the compiled membership predicates' compile counts,
   predicate-cache shares and nominal inline caches (process-wide)
+* ``checks.site.runs`` / ``.blames`` / ``.cache_hits`` — the inserted
+  dynamic checks: calls through a checked site, Blames they raised, and
+  runs whose comp re-validation the spec's cache answered (process-wide)
 * ``intern.types`` / ``intern.fingerprints`` / ``intern.envs`` — the
   hash-consing table sizes (process-wide)
 * ``library.base_builds`` — how often this process built the library
@@ -67,6 +70,11 @@ def metrics_snapshot(*sources) -> dict:
     snap["membership.ic_misses"] = ms["ic_misses"]
     snap["membership.ic_hit_rate"] = (
         round(ms["ic_hits"] / probes, 4) if probes else 0.0)
+
+    from repro.comp.checks import _SITE_STATS
+    snap["checks.site.runs"] = _SITE_STATS[0]
+    snap["checks.site.blames"] = _SITE_STATS[1]
+    snap["checks.site.cache_hits"] = _SITE_STATS[2]
 
     # repro.rtypes.__init__ re-exports the intern *function* under the same
     # name as the submodule, so plain ``import repro.rtypes.intern as ...``

@@ -9,11 +9,13 @@ still matches its computed ``Table`` schema.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 from repro.db.engine import QueryEngine, pluralize, snake_case
 from repro.db.schema import Database
 from repro.rtypes import FiniteHashType
+from repro.rtypes.intern import fingerprint
 from repro.rtypes.kinds import Sym
 from repro.runtime.objects import RClass, RHash, RObject, RString
 
@@ -101,31 +103,36 @@ class RelationValue:
     def comprdl_check_table(self, interp, schema_type) -> bool:
         """Membership test for ``Table<S>``: our joined schema must match.
 
-        Memoized per (relation shape, expected schema's *structural* form,
-        db generation) — the same checked call site produces the same
-        shapes every iteration, and a hit costs one structural fingerprint
-        of the expected type, not a rebuild of the joined schema.  The
-        fingerprint (:func:`repro.rtypes.intern.fingerprint`) is an interned
-        id for the type's *current* structure — never recycled, unlike
-        ``id(schema_type)``, so a GC'd-and-reallocated type object can never
-        replay a stale verdict for a differently-shaped type.
+        Memoized per (database, relation shape, expected schema's
+        *structural* form, db generation) — the same checked call site
+        produces the same shapes every iteration, and a hit costs the
+        expected type's fingerprint, not a rebuild of the joined schema.
+        The fingerprint (:func:`repro.rtypes.intern.fingerprint`) is an
+        interned id for the type's *current* structure — never recycled,
+        unlike ``id(schema_type)``, so a GC'd-and-reallocated type object
+        can never replay a stale verdict for a differently-shaped type.
+        The schema type caches its fingerprint until the next weak update,
+        so a hit walks no structure, and a widened schema gets a new key.
+        Universes in one process share table names and generation
+        numbers, so the key also names the database; the entry holds it
+        weakly and a hit must find the same database alive behind it.
         """
-        from repro.rtypes import subtype
-        from repro.rtypes.intern import fingerprint
-
         if not isinstance(schema_type, FiniteHashType):
             return True
-        key = (self.base_table, self.joins, fingerprint(schema_type),
-               getattr(self.db, "version", 0))
+        db = self.db
+        key = (id(db), self.base_table, self.joins, fingerprint(schema_type),
+               getattr(db, "version", 0))
         cached = _TABLE_CHECK_CACHE.get(key)
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0]() is db:
+            return cached[1]
+        from repro.rtypes import subtype
+
         mine = self.joined_schema()
         result = subtype(mine, schema_type, record=False) or \
             subtype(schema_type, mine, record=False)
         if len(_TABLE_CHECK_CACHE) > 4096:
             _TABLE_CHECK_CACHE.clear()
-        _TABLE_CHECK_CACHE[key] = result
+        _TABLE_CHECK_CACHE[key] = (weakref.ref(db), result)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -7,6 +7,12 @@ a *weak update* — the shared type object itself is widened in place, and all
 previously recorded subtype constraints on it are replayed (§4, "Type
 Mutations and Weak Updates").  To support that, each mutable type carries a
 constraint log that :func:`repro.rtypes.subtype.subtype` appends to.
+
+Every weak update also bumps the process-wide ``_WEAK_EPOCH``.  Caches of
+facts about a mutable type's structure (its fingerprint, a finite hash's
+normalized-key map) are valid while the epoch stands still.  The epoch is
+process-wide rather than per type because a mutable type nested inside
+another changes its parent's structure without the parent knowing.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ from repro.rtypes.kinds import Sym
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     pass
+
+#: process-wide count of weak updates: bumped by every in-place change to
+#: a tuple, finite hash or const string type
+_WEAK_EPOCH = [0]
 
 
 class GenericType(RType):
@@ -50,11 +60,14 @@ class _MutableType(RType):
     (``"lower"``) and ``self <= other`` (``"upper"``) for replay.
     """
 
-    __slots__ = ("constraint_log",)
+    __slots__ = ("constraint_log", "_fp_at")
 
     def __init__(self) -> None:
         super().__init__()
         self.constraint_log: list[tuple[str, RType]] = []
+        # the _WEAK_EPOCH at which `_fp` was computed
+        # (repro.rtypes.intern.fingerprint)
+        self._fp_at = -1
 
     def __hash__(self) -> int:
         return hash(type(self).__name__)
@@ -90,10 +103,12 @@ class TupleType(_MutableType):
 
     def widen_elem(self, index: int, t: RType) -> None:
         """Weakly update element ``index`` to include type ``t``."""
+        _WEAK_EPOCH[0] += 1
         self.elts[index] = make_union([self.elts[index], t])
 
     def widen_all(self, t: RType) -> None:
         """Weakly update every element to include ``t`` (e.g. ``push``)."""
+        _WEAK_EPOCH[0] += 1
         self.elts = [make_union([e, t]) for e in self.elts]
 
     def promoted(self) -> GenericType:
@@ -143,6 +158,7 @@ class FiniteHashType(_MutableType):
 
     def widen_key(self, key: object, t: RType) -> None:
         """Weakly update ``key`` to include type ``t`` (adds the key if new)."""
+        _WEAK_EPOCH[0] += 1
         if key in self.elts:
             self.elts[key] = make_union([self.elts[key], t])
         else:
@@ -206,4 +222,5 @@ class ConstStringType(_MutableType):
 
     def promote(self) -> None:
         """Weak update: forget the known value, becoming plain ``String``."""
+        _WEAK_EPOCH[0] += 1
         self.is_promoted = True

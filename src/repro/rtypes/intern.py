@@ -18,8 +18,9 @@ Three related facilities live here:
 
 * :func:`fingerprint` — a process-stable integer id for *any* type,
   derived from its current structure.  For interned types the id is cached
-  on the instance; for mutable types it is recomputed per call, i.e. a
-  fingerprint is a snapshot of "the structure right now" — exactly what
+  on the instance; mutable types cache theirs until the next weak update
+  anywhere in the process (``containers._WEAK_EPOCH``), so a fingerprint is
+  a snapshot of "the structure right now" — exactly what
   memo keys like ``CompEvalCache.binding_key`` and the relation membership
   memo previously captured with ``to_s()``/``repr()`` strings, but as one
   int instead of a rendered string.  Fingerprints are never recycled
@@ -39,6 +40,7 @@ would break the identity-equality invariant.
 from __future__ import annotations
 
 from repro.rtypes.containers import (
+    _WEAK_EPOCH,
     ConstStringType,
     FiniteHashType,
     GenericType,
@@ -239,14 +241,16 @@ def fingerprint(t: RType | None) -> int:
     """A process-stable integer identifying ``t``'s *current* structure.
 
     Same fingerprint ⇒ same structure, always (ids are never reused — see
-    the epoch note on ``_FP_TABLE``).  Interned types cache theirs; mutable
-    types pay one structural walk per call — still far cheaper than
-    rendering a repr, and the result keys as a machine int.
+    the epoch note on ``_FP_TABLE``).  Interned types cache theirs for
+    good; mutable types cache theirs under the weak-update epoch, and pay
+    one structural walk after each weak update.  Other types containing a
+    mutable part pay the walk per call — still far cheaper than rendering
+    a repr, and the result keys as a machine int.
     """
     if t is None:
         return 0
     fp = t._fp
-    if fp != -1:
+    if fp != -1 and (t._interned or t._fp_at == _WEAK_EPOCH[0]):
         return fp
     key = _fp_key(t)
     fp = _FP_TABLE.get(key)
@@ -258,6 +262,9 @@ def fingerprint(t: RType | None) -> int:
         _FP_TABLE[key] = fp
     if t._interned:
         t._fp = fp
+    elif t.__class__ in _MUTABLE:
+        t._fp = fp
+        t._fp_at = _WEAK_EPOCH[0]
     return fp
 
 

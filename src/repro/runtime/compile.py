@@ -17,14 +17,18 @@ on the (parse-cached, process-shared) AST nodes themselves and reused by
 every universe in the process.
 
 Semantics are the reference tree walker's (:mod:`repro.runtime.tree`, a
-test oracle), bit for bit: both share ``call_method``/``_dispatch``, the
+test oracle), bit for bit: both share ``_dispatch``'s lookup rules, the
 corelib, the object model and the dynamic-check table, and
 ``tests/runtime/test_compile_parity.py`` asserts the agreement.
-``_dispatch_cached`` below replicates ``Interp._dispatch`` and must be
-kept in sync with it; on top of the replica it adds a per-call-site inline
-cache (receiver Python type + method-table epoch + foreign-handler count +
-owning interpreter) that skips the foreign-handler loop and method lookup
-for monomorphic sites on builtin value types.
+``_dispatch_cached`` below replicates ``Interp.call_method`` and
+``Interp._dispatch`` and must be kept in sync with them; on top of the
+replica it adds a per-call-site inline cache (receiver Python type +
+method-table epoch + foreign-handler count + owning interpreter) that skips
+the foreign-handler loop and method lookup for monomorphic sites on builtin
+value types.  Inserted dynamic checks (§4) do not leave that path: with
+checks enabled, a site whose ``node_id`` has a ``CheckSpec`` in the
+interpreter's check table runs the spec's hooks around the same cached
+dispatch, and every other site dispatches exactly as with checks off.
 """
 
 from __future__ import annotations
@@ -85,15 +89,25 @@ def reset_inline_cache_stats() -> None:
 
 
 def _dispatch_cached(i, recv, name, args, block, line, nid, cache):
-    """Checked-call-aware dispatch with a per-call-site inline cache.
+    """``Interp.call_method`` (replicated — keep in sync) with a
+    per-call-site inline cache.
 
-    With dynamic checks enabled every call goes through ``call_method`` so
-    inserted check specs fire exactly as in the reference walker.
-    Otherwise this is ``Interp._dispatch`` (replicated — keep in sync)
-    plus the inline cache.
+    With checks off this costs one ``checks_enabled`` test over the cached
+    dispatch.  With checks on, a site whose ``nid`` has a ``CheckSpec`` in
+    this interpreter's check table runs λC's checked call ⌈A⌉e.m(e): the
+    spec's hooks around the site's own cached dispatch (``nid=None``
+    names no site, so the inner call is the unchecked path).  The spec is
+    looked up per call, never kept on the site: sites sit on
+    process-shared AST nodes, and each universe has its own check table.
     """
     if i.checks_enabled:
-        return i.call_method(recv, name, args, block, line, node_id=nid)
+        spec = i.check_table.get(nid)
+        if spec is not None:
+            spec.before_call(i, recv, args, line)
+            result = _dispatch_cached(i, recv, name, args, block, line,
+                                      None, cache)
+            spec.after_call(i, recv, args, result, line)
+            return result
     t = recv.__class__
     # cache[0] and cache[4] hold weakrefs: closures live on process-shared
     # AST nodes, and a strong reference to the interpreter (or to a method,

@@ -8,13 +8,16 @@ dynamic checks that CompRDL's rewriting step attaches to call sites: when
 ``checks_enabled`` is set, a call whose ``node_id`` appears in
 ``check_table`` re-validates its comp type and checks the returned value,
 raising :class:`repro.runtime.errors.Blame` on failure (§3.2's ⌈A⌉e.m(e)).
+Calls at sites without an entry dispatch exactly as with checks off.
 
 User code runs through the closure compiler (:mod:`repro.runtime.compile`):
 each AST node is lowered once into a Python closure, and evaluation is
-direct calls through precompiled closure trees.  This module holds what
-the compiled code calls back into — dispatch (``call_method``/
-``_dispatch``/``invoke``), block calls, constant lookup, the object model
-bootstrap and the dynamic-check table.
+direct calls through precompiled closure trees.  Compiled call sites
+dispatch through ``compile._dispatch_cached``, a replica of this module's
+``call_method``/``_dispatch`` with a per-site inline cache; they call back
+into ``invoke``, block calls, constant lookup and the object model
+bootstrap held here.  ``call_method`` itself serves the corelib natives
+that call back into Ruby and the reference walker.
 
 The tree-walking reference semantics live in :mod:`repro.runtime.tree`
 (``TreeInterp``), a test oracle no production module imports;
@@ -229,6 +232,10 @@ class Interp:
         self.registry = None  # set by the CompRDL facade
         self.check_table: dict[int, object] = {}
         self.checks_enabled = False
+        # the compiled nominal-membership predicates' inline cache for this
+        # interpreter (repro.runtime.member_compile): [method epoch,
+        # {type name: {receiver pytype or RClass: verdict}}]
+        self._nominal_ic: list = [0, {}]
         self.db = None
         # handlers: fn(interp, recv, name, args, block, line) -> (handled, value)
         # — handlers must claim receivers by (Python) type: the compiled

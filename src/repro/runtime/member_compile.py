@@ -7,9 +7,10 @@ compile-once strategy to the checker side: each type node is lowered once
 into a Python closure ``fn(interp, value) -> bool`` whose structure dispatch
 is resolved at compile time.  Unions become tuples of child closures,
 optionals a ``None`` test plus the inner closure, and nominal/generic
-membership gets a per-predicate inline cache keyed on the receiver's Python
-type + the method-table epoch (class hierarchies only change under method
-(re)definition, which bumps ``_METHOD_EPOCH``).
+membership gets an inline cache kept on each interpreter, keyed on the
+type name and the receiver's Python type (or, for model instances, its
+``RClass``) under the method-table epoch (class hierarchies only change
+under method (re)definition, which bumps ``_METHOD_EPOCH``).
 
 Predicates cache on the type instance itself (the ``RType._pred`` slot) and
 — via hash-consing (:mod:`repro.rtypes.intern`) — on *interned identity*:
@@ -26,6 +27,8 @@ Weak updates (§4) are why two compilation regimes exist:
   weak-update types, never interned) read their own mutable fields live on
   every call and dispatch children through the child's ``_pred`` slot,
   because ``widen_*``/``promote`` replace child entries with new objects.
+  A finite hash reads its keys through a normalized-key map instead, which
+  it rebuilds after any weak update (``containers._WEAK_EPOCH``).
 
 Every dynamic check goes through these predicates.  ``value_has_type``
 stays as the reference semantics, a test oracle only: parity between the
@@ -55,6 +58,7 @@ from repro.rtypes import (
     UnionType,
     VarType,
 )
+from repro.rtypes.containers import _WEAK_EPOCH
 from repro.rtypes.intern import try_intern
 from repro.rtypes.kinds import ClassRef, Sym
 from repro.runtime.membership import _nominal_member
@@ -64,15 +68,17 @@ from repro.runtime.objects import (
     RBlock,
     RClass,
     RHash,
+    RObject,
     RString,
 )
 
 # Receiver Python types whose nominal-membership verdict may be inline
-# cached: builtin value types mapping to a fixed RClass independent of the
-# instance, and which never advertise `comprdl_class_name` (the foreign
-# schema objects that do — RelationValue and friends — have their own
-# wrapper classes).  RObject/RClass stay out: their Ruby class varies per
-# instance.
+# cached by Python type: builtin value types mapping to a fixed RClass
+# independent of the instance, and which never advertise
+# `comprdl_class_name` (the foreign schema objects that do — RelationValue
+# and friends — have their own wrapper classes).  Plain model instances
+# (exactly RObject, which advertises nothing) cache by their RClass; RClass
+# receivers and exceptions stay out.
 _IC_TYPES = frozenset((int, float, RString, RArray, RHash, Sym, RBlock))
 
 #: distinguishes "not cached" from a cached ``False`` verdict
@@ -257,34 +263,40 @@ def _compile_nominal(name: str):
 
         return boolean_pred
     # the general case walks the receiver's ancestor chain; memoize the
-    # verdict per (interp, method-table epoch, receiver pytype) for builtin
-    # value types — their RClass is fixed per pytype, and hierarchy edits
-    # (method (re)definition) bump the epoch
-    cache = [None, -1, None]  # [interp weakref, epoch, {pytype: verdict}]
-
-    def nominal_pred(interp, value, _name=name, _cache=cache):
+    # verdict in the interpreter's own cache (predicates are process-shared
+    # via the intern table, so a cache on the closure would hold one
+    # universe at a time and thrash as universes alternate), per receiver
+    # pytype for builtin value types and per RClass for model instances
+    # (both fix the ancestor chain), dropped whenever the method-table
+    # epoch moves
+    def nominal_pred(interp, value, _name=name):
         t = value.__class__
         if t in _IC_TYPES:
-            owner = _cache[0]
-            # weakref: predicates are process-shared via the intern table,
-            # and a strong interp reference would pin discarded universes
-            if (owner is not None and owner() is interp
-                    and _cache[1] == _METHOD_EPOCH[0]):
-                verdict = _cache[2].get(t, _MISS)
+            key = t
+        elif t is RObject:
+            key = value.rclass
+        else:
+            return _nominal_member(interp, value, _name)
+        ic = interp._nominal_ic
+        if ic[0] == _METHOD_EPOCH[0]:
+            verdicts = ic[1].get(_name)
+            if verdicts is None:
+                verdicts = ic[1][_name] = {}
+            else:
+                verdict = verdicts.get(key, _MISS)
                 if verdict is not _MISS:
                     if _OBS_ON[0]:
                         _STATS[2] += 1
                     return verdict
-            else:
-                _cache[0] = interp.weak_self
-                _cache[1] = _METHOD_EPOCH[0]
-                _cache[2] = {}
-            verdict = _nominal_member(interp, value, _name)
-            if _OBS_ON[0]:
-                _STATS[3] += 1
-            _cache[2][t] = verdict
-            return verdict
-        return _nominal_member(interp, value, _name)
+        else:
+            ic[0] = _METHOD_EPOCH[0]
+            verdicts = {}
+            ic[1] = {_name: verdicts}
+        verdict = _nominal_member(interp, value, _name)
+        if _OBS_ON[0]:
+            _STATS[3] += 1
+        verdicts[key] = verdict
+        return verdict
 
     return nominal_pred
 
@@ -354,26 +366,29 @@ def _compile_tuple(t: TupleType):
 
 
 def _compile_finite_hash(t: FiniteHashType):
-    # mutable, same regime as tuples; the key-normalization loop replicates
-    # _finite_hash_member exactly — including first-match-wins over `elts`
-    # in insertion order, which a precomputed {norm: type} map would break
-    # for duplicate normalized keys
-    def finite_hash_pred(interp, value, _t=t):
+    # mutable, same regime as tuples, but the keys are matched through a
+    # normalized-key map built from `elts` and rebuilt after any weak update
+    # (`_WEAK_EPOCH`).  The map replicates _finite_hash_member's linear scan
+    # exactly: it is built first-match-wins over `elts` in insertion order,
+    # so of two type keys that normalize alike (`:a` and `"a"`) the first
+    # one types the value's entry, and a key is required when any of its
+    # spellings is non-optional.
+    plan = [-1, None, None]  # [weak epoch, {norm: type}, required norms]
+
+    def finite_hash_pred(interp, value, _t=t, _plan=plan):
         if not isinstance(value, RHash):
             return False
-        elts = _t.elts
+        if _plan[0] != _WEAK_EPOCH[0]:
+            _plan[1], _plan[2] = _key_plan(_t)
+            _plan[0] = _WEAK_EPOCH[0]
+        types = _plan[1]
         rest = _t.rest
         seen = set()
-        for key, entry_value in value.pairs():
+        for key, entry_value in value.entries.values():
             norm = key.name if isinstance(key, Sym) else (
                 key.val if isinstance(key, RString) else key
             )
-            matched = None
-            for type_key in elts:
-                type_norm = type_key.name if isinstance(type_key, Sym) else type_key
-                if type_norm == norm:
-                    matched = elts[type_key]
-                    break
+            matched = types.get(norm)
             if matched is None:
                 if rest is None:
                     return False
@@ -389,10 +404,20 @@ def _compile_finite_hash(t: FiniteHashType):
                     p = predicate_for(matched)
                 if not p(interp, entry_value):
                     return False
-        for type_key in elts:
-            type_norm = type_key.name if isinstance(type_key, Sym) else type_key
-            if type_norm not in seen and type_key not in _t.optional_keys:
-                return False
-        return True
+        return _plan[2] <= seen
 
     return finite_hash_pred
+
+
+def _key_plan(t: FiniteHashType) -> tuple[dict, frozenset]:
+    """``t``'s normalized-key map (first match wins) and the set of
+    normalized keys a member must carry."""
+    types: dict = {}
+    required = set()
+    for type_key, entry_type in t.elts.items():
+        norm = type_key.name if isinstance(type_key, Sym) else type_key
+        if norm not in types:
+            types[norm] = entry_type
+        if type_key not in t.optional_keys:
+            required.add(norm)
+    return types, frozenset(required)

@@ -49,6 +49,7 @@ from repro.rtypes import (
     subtype,
     unify_args,
 )
+from repro.rtypes.containers import _WEAK_EPOCH
 from repro.rtypes.hierarchy import ClassHierarchy, default_hierarchy
 from repro.rtypes.kinds import ClassRef, Sym
 from repro.rtypes.subtype import ConstraintLog, replay_constraints
@@ -460,6 +461,8 @@ class TypeChecker:
                     receiver_type.widen_elem(index, value_type)
                     self._replay(receiver_type, node, ctx)
                 return
+            # growing the tuple in place is a weak update too
+            _WEAK_EPOCH[0] += 1
             receiver_type.elts.extend([_NIL] * (index - len(receiver_type.elts)))
             receiver_type.elts.append(value_type)
             self._replay(receiver_type, node, ctx)
@@ -882,6 +885,7 @@ class TypeChecker:
             receiver_type.promote()
             self._replay(receiver_type, node, ctx)
         elif isinstance(receiver_type, TupleType) and name in ("push", "append", "<<", "concat"):
+            _WEAK_EPOCH[0] += 1
             for t in arg_types:
                 receiver_type.elts.append(t)
             self._replay(receiver_type, node, ctx)

@@ -69,3 +69,18 @@ def test_schema_change_is_visible_through_the_cache(rel):
     assert rel.comprdl_check_table(None, wide) is False
     rel.db.add_column("users", "age", "integer")
     assert rel.comprdl_check_table(None, wide) is True
+
+
+def test_universes_never_share_a_verdict():
+    """Two databases at the same generation with a same-named table of
+    different shape: one's memoized verdict must not answer for the
+    other (the fuzzer's live-relation probes found this collision)."""
+    narrow, wide = Database(), Database()
+    narrow.create_table("users", username="string")
+    wide.create_table("users", username="string", age="integer")
+    assert narrow.version == wide.version
+    relation_mod._TABLE_CHECK_CACHE.clear()
+    shape = _shape(id="Integer", username="String")
+    assert RelationValue(narrow, "users").comprdl_check_table(None, shape)
+    assert not RelationValue(wide, "users").comprdl_check_table(None, shape)
+    assert RelationValue(narrow, "users").comprdl_check_table(None, shape)
